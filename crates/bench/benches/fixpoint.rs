@@ -1,13 +1,11 @@
 //! Criterion microbench: whole-analysis cost (index build + fixpoint +
-//! sink scan) under each engine on the same prepared programs.
-//! Complements `bench_fixpoint`, which isolates the fixpoint phase and
-//! reports per-contract percentiles over a large corpus — on tiny
-//! corpus contracts the sparse engine's index-build overhead roughly
-//! cancels its fixpoint win end-to-end; the fixpoint-only numbers in
-//! `BENCH_fixpoint.json` are where the scheduling change shows.
+//! sink scan) of the production engine on prepared programs, with and
+//! without witness recording. Complements `bench_fixpoint`, which
+//! isolates the fixpoint phase and reports per-contract percentiles over
+//! a large corpus.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ethainter::{Config, Engine};
+use ethainter::Config;
 use std::hint::black_box;
 
 /// A guard-heavy contract where the sparse engine's delta-rba path is
@@ -47,9 +45,9 @@ fn prepared_programs() -> Vec<decompiler::Program> {
 
 fn bench_engines(c: &mut Criterion) {
     let programs = prepared_programs();
-    for engine in [Engine::Dense, Engine::Sparse] {
-        let cfg = Config { engine, ..Config::default() };
-        c.bench_function(&format!("analyze/{}_21_contracts", engine.name()), |b| {
+    for (name, witness) in [("sparse", false), ("sparse_witness", true)] {
+        let cfg = Config { witness, ..Config::default() };
+        c.bench_function(&format!("analyze/{name}_21_contracts"), |b| {
             b.iter(|| {
                 let mut findings = 0usize;
                 for p in &programs {

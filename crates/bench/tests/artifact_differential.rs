@@ -4,28 +4,21 @@
 //! the composite (✰) marker pass from a recursive full re-analysis into
 //! a frozen re-evaluation over the same artifacts. Nothing observable
 //! may change: this suite pins findings, fact counts, defeated guards,
-//! composite markers, and witnesses byte-identical across both engines
-//! at all three corpus scales — and pins the composite markers to the
+//! and composite markers byte-identical between the production engine
+//! and the dense reference oracle at all three corpus scales, checks
+//! that witnesses ride along without disturbing any of them — and pins
+//! the composite markers to the
 //! *recursive semantics* they replaced, reconstructed through the public
 //! API (`freeze_guards = true, storage_taint = false` is exactly the
 //! config the old recursion analyzed under; a finding is composite iff
 //! it has no frozen counterpart with the same `(vuln, stmt)`).
 
 use corpus::{Population, PopulationConfig, Scale};
-use ethainter::{Config, Engine, Report};
+use ethainter::{Config, Report};
 
 /// Everything the refactor must preserve, extracted for comparison.
-fn verdict(
-    r: &Report,
-) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<usize>, bool, Option<Vec<ethainter::Witness>>)
-{
-    (
-        r.findings.clone(),
-        r.stats.facts,
-        r.defeated_guards.clone(),
-        r.timed_out,
-        r.witnesses.clone(),
-    )
+fn verdict(r: &Report) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<usize>, bool) {
+    (r.findings.clone(), r.stats.facts, r.defeated_guards.clone(), r.timed_out)
 }
 
 /// Scale presets with corpus sizes small enough for a debug-build test,
@@ -46,8 +39,10 @@ fn scaled_corpora() -> Vec<(Scale, Population)> {
         .collect()
 }
 
-/// Both engines, witnesses on, all three scales: byte-identical reports,
-/// and composite markers equal to the pre-refactor recursive semantics.
+/// The production engine with witnesses on against the reference
+/// oracle, all three scales: byte-identical verdicts, one witness per
+/// finding, and composite markers equal to the pre-refactor recursive
+/// semantics.
 #[test]
 fn artifact_refactor_preserves_reports_across_scales_and_engines() {
     let mut composite_seen = 0usize;
@@ -57,12 +52,15 @@ fn artifact_refactor_preserves_reports_across_scales_and_engines() {
             let mut p = decompiler::decompile(&c.bytecode);
             decompiler::optimize(&mut p, &decompiler::PassConfig::default());
 
-            let dense_cfg =
-                Config { engine: Engine::Dense, witness: true, ..Config::default() };
-            let sparse_cfg =
-                Config { engine: Engine::Sparse, witness: true, ..Config::default() };
-            let d = ethainter::analyze(&p, &dense_cfg);
+            let sparse_cfg = Config { witness: true, ..Config::default() };
+            let d = ethainter::reference::analyze(&p, &sparse_cfg);
             let s = ethainter::analyze(&p, &sparse_cfg);
+            assert_eq!(
+                s.witnesses.as_ref().map_or(0, Vec::len),
+                s.findings.len(),
+                "one witness per finding at scale {} on contract {i}",
+                scale.name()
+            );
             assert_eq!(
                 verdict(&d),
                 verdict(&s),

@@ -1,4 +1,5 @@
-//! Differential equivalence of the dense and sparse fixpoint engines.
+//! Differential equivalence of the production (sparse) fixpoint engine
+//! and the dense reference oracle, `ethainter::reference`.
 //!
 //! The sparse engine is only a *scheduling* change: both engines
 //! evaluate the same monotone rule system, which has a unique least
@@ -8,7 +9,7 @@
 //! metric) and `stats.timings` (wall-clock), which are deliberately
 //! excluded here.
 
-use ethainter::{Config, Engine, Report, StorageModel};
+use ethainter::{Config, Report, StorageModel};
 use proptest::prelude::*;
 
 /// Everything the engines must agree on, extracted for comparison.
@@ -16,11 +17,14 @@ fn verdict(r: &Report) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<u
     (r.findings.clone(), r.stats.facts, r.defeated_guards.clone(), r.timed_out)
 }
 
-fn both_engines(cfg: &Config) -> (Config, Config) {
-    (
-        Config { engine: Engine::Dense, ..*cfg },
-        Config { engine: Engine::Sparse, ..*cfg },
-    )
+/// Decompiles `code` the way `analyze_bytecode` does, so `optimize_ir`
+/// participates: the engines must agree on raw and optimized IR alike.
+fn prepared(code: &[u8], cfg: &Config) -> decompiler::Program {
+    let mut p = decompiler::decompile(code);
+    if cfg.optimize_ir {
+        decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    }
+    p
 }
 
 /// The headline differential: 500 generated contracts, decompiled and
@@ -33,14 +37,14 @@ fn five_hundred_contract_corpus_differential() {
         seed: 7,
         ..Default::default()
     });
-    let (dense_cfg, sparse_cfg) = both_engines(&Config::default());
+    let cfg = Config::default();
     let mut findings_seen = 0usize;
     let mut defeats_seen = 0usize;
     for (i, c) in pop.contracts.iter().enumerate() {
         let mut p = decompiler::decompile(&c.bytecode);
         decompiler::optimize(&mut p, &decompiler::PassConfig::default());
-        let d = ethainter::analyze(&p, &dense_cfg);
-        let s = ethainter::analyze(&p, &sparse_cfg);
+        let d = ethainter::reference::analyze(&p, &cfg);
+        let s = ethainter::analyze(&p, &cfg);
         assert_eq!(
             verdict(&d),
             verdict(&s),
@@ -79,9 +83,8 @@ fn ablation_configs_agree_across_engines() {
         let mut p = decompiler::decompile(&c.bytecode);
         decompiler::optimize(&mut p, &decompiler::PassConfig::default());
         for cfg in &ablations {
-            let (dense_cfg, sparse_cfg) = both_engines(cfg);
-            let d = ethainter::analyze(&p, &dense_cfg);
-            let s = ethainter::analyze(&p, &sparse_cfg);
+            let d = ethainter::reference::analyze(&p, cfg);
+            let s = ethainter::analyze(&p, cfg);
             assert_eq!(
                 verdict(&d),
                 verdict(&s),
@@ -113,7 +116,6 @@ fn arb_config() -> impl Strategy<Value = Config> {
             freeze_guards: freeze,
             optimize_ir: opt,
             range_guards: range,
-            engine: Engine::Sparse, // overwritten per side below
             witness: false,
         })
 }
@@ -143,10 +145,10 @@ proptest! {
             scale,
             ..Default::default()
         });
-        let (dense_cfg, sparse_cfg) = both_engines(&cfg);
         for c in &pop.contracts {
-            let d = ethainter::analyze_bytecode(&c.bytecode, &dense_cfg);
-            let s = ethainter::analyze_bytecode(&c.bytecode, &sparse_cfg);
+            let p = prepared(&c.bytecode, &cfg);
+            let d = ethainter::reference::analyze(&p, &cfg);
+            let s = ethainter::analyze(&p, &cfg);
             prop_assert_eq!(
                 verdict(&d),
                 verdict(&s),
@@ -176,12 +178,10 @@ proptest! {
             seed,
             ..Default::default()
         });
-        let (dense_cfg, sparse_cfg) = both_engines(&cfg);
         for c in &pop.contracts {
-            // analyze_bytecode so optimize_ir participates too: the
-            // engines must agree on raw and optimized IR alike.
-            let d = ethainter::analyze_bytecode(&c.bytecode, &dense_cfg);
-            let s = ethainter::analyze_bytecode(&c.bytecode, &sparse_cfg);
+            let p = prepared(&c.bytecode, &cfg);
+            let d = ethainter::reference::analyze(&p, &cfg);
+            let s = ethainter::analyze(&p, &cfg);
             prop_assert_eq!(
                 verdict(&d),
                 verdict(&s),

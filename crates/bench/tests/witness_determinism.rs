@@ -1,12 +1,12 @@
-//! Witness determinism: provenance replay always re-runs the *dense*
-//! engine from a fresh state regardless of which engine produced the
-//! verdicts, so the serialized witnesses for a given (bytecode, config)
-//! must be byte-identical across engines and across repeated runs. This
-//! is what makes a witness a stable artifact: `ethainter explain` shows
-//! the same derivation no matter how the scan that flagged the contract
-//! was configured to schedule its fixpoint.
+//! Witness determinism: witnesses come from the provenance the
+//! production fixpoint records while it runs, and the worklist order is
+//! a function of the program alone, so the serialized witnesses for a
+//! given (bytecode, config) must be byte-identical across repeated runs
+//! and across threads analyzing concurrently. This is what makes a
+//! witness a stable artifact: `ethainter explain` shows the same
+//! derivation as the scan that flagged the contract.
 
-use ethainter::{Config, Engine};
+use ethainter::Config;
 
 /// Analyzes `code` and returns the canonical JSON of its witnesses.
 fn witness_json(code: &[u8], cfg: &Config) -> String {
@@ -19,30 +19,44 @@ fn witness_json(code: &[u8], cfg: &Config) -> String {
     serde_json::to_string(&report.witnesses).unwrap()
 }
 
+/// Every contract's witness JSON under `cfg`, computed on two threads at
+/// once (each analyzes the whole corpus, in opposite orders).
+fn on_two_threads(codes: &[&[u8]], cfg: &Config) -> [Vec<String>; 2] {
+    std::thread::scope(|s| {
+        let forward = s.spawn(|| codes.iter().map(|c| witness_json(c, cfg)).collect());
+        let backward = s.spawn(|| {
+            let mut v: Vec<String> = codes.iter().rev().map(|c| witness_json(c, cfg)).collect();
+            v.reverse();
+            v
+        });
+        [forward.join().unwrap(), backward.join().unwrap()]
+    })
+}
+
 /// The headline determinism check: a generated corpus analyzed with
-/// witnesses on under both engines, twice each. All four serializations
-/// must match byte-for-byte, and the corpus must actually produce
-/// non-trivial witnesses or the test proves nothing.
+/// witnesses on twice in a row, then twice more on two concurrent
+/// threads. All four serializations must match byte-for-byte, and the
+/// corpus must actually produce non-trivial witnesses or the test
+/// proves nothing.
 #[test]
-fn witnesses_are_byte_identical_across_engines_and_runs() {
+fn witnesses_are_byte_identical_across_runs_and_threads() {
     let pop = corpus::Population::generate(&corpus::PopulationConfig {
         size: 120,
         seed: 7,
         ..Default::default()
     });
-    let dense = Config { engine: Engine::Dense, witness: true, ..Config::default() };
-    let sparse = Config { engine: Engine::Sparse, witness: true, ..Config::default() };
+    let cfg = Config { witness: true, ..Config::default() };
+    let codes: Vec<&[u8]> = pop.contracts.iter().map(|c| c.bytecode.as_slice()).collect();
+    let [t1, t2] = on_two_threads(&codes, &cfg);
 
     let mut with_steps = 0usize;
-    for c in &pop.contracts {
-        let d1 = witness_json(&c.bytecode, &dense);
-        let d2 = witness_json(&c.bytecode, &dense);
-        let s1 = witness_json(&c.bytecode, &sparse);
-        let s2 = witness_json(&c.bytecode, &sparse);
-        assert_eq!(d1, d2, "{}#{}: dense run not reproducible", c.family, c.id);
-        assert_eq!(s1, s2, "{}#{}: sparse run not reproducible", c.family, c.id);
-        assert_eq!(d1, s1, "{}#{}: witnesses diverge across engines", c.family, c.id);
-        if d1.contains("\"steps\"") {
+    for (i, c) in pop.contracts.iter().enumerate() {
+        let r1 = witness_json(&c.bytecode, &cfg);
+        let r2 = witness_json(&c.bytecode, &cfg);
+        assert_eq!(r1, r2, "{}#{}: run not reproducible", c.family, c.id);
+        assert_eq!(r1, t1[i], "{}#{}: a concurrent run diverges", c.family, c.id);
+        assert_eq!(r1, t2[i], "{}#{}: a concurrent run diverges", c.family, c.id);
+        if r1.contains("\"steps\"") {
             with_steps += 1;
         }
     }
@@ -50,10 +64,10 @@ fn witnesses_are_byte_identical_across_engines_and_runs() {
 }
 
 /// Ablation configs change which facts derive, but never determinism:
-/// each (config, contract) pair must still replay identically across
-/// engines.
+/// each (config, contract) pair must replay identically on repeated and
+/// concurrent runs.
 #[test]
-fn ablation_witnesses_agree_across_engines() {
+fn ablation_witnesses_are_reproducible() {
     let pop = corpus::Population::generate(&corpus::PopulationConfig {
         size: 40,
         seed: 23,
@@ -67,11 +81,13 @@ fn ablation_witnesses_agree_across_engines() {
         Config { storage_model: ethainter::StorageModel::Conservative, ..base },
         Config { range_guards: false, ..base },
     ];
-    for c in &pop.contracts {
-        for cfg in &ablations {
-            let d = witness_json(&c.bytecode, &Config { engine: Engine::Dense, ..*cfg });
-            let s = witness_json(&c.bytecode, &Config { engine: Engine::Sparse, ..*cfg });
-            assert_eq!(d, s, "{}#{} diverges under {cfg:?}", c.family, c.id);
+    let codes: Vec<&[u8]> = pop.contracts.iter().map(|c| c.bytecode.as_slice()).collect();
+    for cfg in &ablations {
+        let [t1, t2] = on_two_threads(&codes, cfg);
+        for (i, c) in pop.contracts.iter().enumerate() {
+            let r = witness_json(&c.bytecode, cfg);
+            assert_eq!(r, t1[i], "{}#{} diverges under {cfg:?}", c.family, c.id);
+            assert_eq!(r, t2[i], "{}#{} diverges under {cfg:?}", c.family, c.id);
         }
     }
 }

@@ -182,38 +182,18 @@ impl Status {
         }
     }
 
-    /// The same status with the telemetry riders removed: per-phase
-    /// timings zeroed and provenance witnesses dropped. Deterministic
-    /// artifacts (result-cache entries, `merged.jsonl`) must not vary
-    /// run-to-run — or with observability switches like
-    /// [`ethainter::Config::witness`] — so `crates/store` normalizes
-    /// statuses through this before persisting them.
-    pub fn without_timings(&self) -> Status {
-        match self {
-            Status::Analyzed { timings, witness, .. }
-                if *timings != ethainter::PhaseTimings::default() || witness.is_some() =>
-            {
-                let mut s = self.clone();
-                if let Status::Analyzed { timings, witness, .. } = &mut s {
-                    *timings = ethainter::PhaseTimings::default();
-                    *witness = None;
-                }
-                s
-            }
-            _ => self.clone(),
-        }
-    }
-
-    /// The verdict projection: timings zeroed *and* `rounds` zeroed.
-    /// `rounds` is an engine-specific effort metric (dense counts
-    /// re-scan passes, sparse counts defeat waves), so it must not
-    /// appear in artifacts that are specified to be byte-identical
-    /// across `--engine dense` ⇄ `--engine sparse` — `merged.jsonl`
-    /// records verdicts, not effort.
+    /// The verdict projection — the one strip every deterministic
+    /// artifact (result-cache entries, `merged.jsonl`) goes through:
+    /// per-phase timings zeroed, provenance witnesses dropped, and
+    /// `rounds` zeroed. Timings vary run to run, witnesses with the
+    /// observability switch [`ethainter::Config::witness`], and `rounds`
+    /// is a convergence-effort statistic, not a verdict.
     pub fn verdict_only(&self) -> Status {
-        let mut s = self.without_timings();
-        if let Status::Analyzed { rounds, .. } = &mut s {
+        let mut s = self.clone();
+        if let Status::Analyzed { rounds, timings, witness, .. } = &mut s {
             *rounds = 0;
+            *timings = ethainter::PhaseTimings::default();
+            *witness = None;
         }
         s
     }
@@ -872,8 +852,8 @@ mod tests {
         assert_eq!(streamed.len(), batch.outcomes.len());
         for (s, b) in streamed.iter().zip(&batch.outcomes) {
             assert_eq!(
-                (s.index, &s.id, s.status.without_timings()),
-                (b.index, &b.id, b.status.without_timings())
+                (s.index, &s.id, s.status.verdict_only()),
+                (b.index, &b.id, b.status.verdict_only())
             );
             // Real analyses must uphold the derived-total invariant:
             // whoever stamps a phase last re-derives `total_us`.
@@ -919,8 +899,8 @@ mod tests {
         assert!(job.status.is_analyzed());
         let batch = analyze_batch(vec![("j".into(), code)], &dcfg, &analysis);
         assert_eq!(
-            job.status.without_timings(),
-            batch.outcomes[0].status.without_timings(),
+            job.status.verdict_only(),
+            batch.outcomes[0].status.verdict_only(),
             "single-job and batch paths classify identically"
         );
     }

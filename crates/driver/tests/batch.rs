@@ -70,7 +70,7 @@ fn batch_results_are_identical_across_worker_counts() {
     // results (per-contract elapsed times and phase timings of course
     // differ between live runs).
     let strip = |r: &driver::BatchReport| -> Vec<(usize, String, Status)> {
-        r.outcomes.iter().map(|o| (o.index, o.id.clone(), o.status.without_timings())).collect()
+        r.outcomes.iter().map(|o| (o.index, o.id.clone(), o.status.verdict_only())).collect()
     };
     assert_eq!(strip(&one), strip(&four));
 }

@@ -100,12 +100,11 @@ USAGE:
 Config flags (analyze and batch): --no-guards, --no-storage,
 --conservative (the paper's Figure 8 ablations); --no-passes disables
 the IR optimization pipeline and branch pruning, --no-range-guards
-disables only the interval-analysis branch pruning. --engine
-dense|sparse selects the fixpoint evaluator (default sparse); both
-produce identical verdicts, and cached results stay warm across an
-engine switch. --witness attaches taint-provenance witnesses to each
-report: a replayable source→sink derivation for every finding
-(analyze --json includes them; batch outcome records carry them).
+disables only the interval-analysis branch pruning. --witness
+attaches taint-provenance witnesses to each report: a replayable
+source→sink derivation for every finding, recorded by the same
+fixpoint that produced the verdict (analyze --json includes them;
+batch outcome records carry them).
 
 trace analyzes one contract under a freshly minted trace context and
 renders its span tree: every phase (decompile → index_build → fixpoint
@@ -186,11 +185,10 @@ fn load_bytecode(path: &str) -> Result<Vec<u8>, String> {
     minisol::compile_source(trimmed).map(|c| c.bytecode).map_err(|e| e.to_string())
 }
 
-fn parse_config(flags: &[String]) -> Result<Config, String> {
+fn parse_config(flags: &[String]) -> Config {
     let mut cfg = Config::default();
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
+    for flag in flags {
+        match flag.as_str() {
             "--no-guards" => cfg.guard_modeling = false,
             "--no-storage" => cfg.storage_taint = false,
             "--conservative" => cfg.storage_model = ethainter::StorageModel::Conservative,
@@ -200,22 +198,16 @@ fn parse_config(flags: &[String]) -> Result<Config, String> {
             }
             "--no-range-guards" => cfg.range_guards = false,
             "--witness" => cfg.witness = true,
-            "--engine" => {
-                let v = flags.get(i + 1).ok_or("--engine needs a value (dense|sparse)")?;
-                cfg.engine = ethainter::Engine::parse(v)?;
-                i += 1;
-            }
             _ => {}
         }
-        i += 1;
     }
-    Ok(cfg)
+    cfg
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("analyze: missing <file>")?;
     let code = load_bytecode(path)?;
-    let cfg = parse_config(args)?;
+    let cfg = parse_config(args);
     // One minted trace per contract: spans this analysis records are
     // attributable even when a --trace-out JSONL mixes several runs.
     let _trace = telemetry::trace::root(telemetry::trace::mint());
@@ -255,7 +247,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("explain: missing <file>")?;
     let code = load_bytecode(path)?;
-    let mut cfg = parse_config(args)?;
+    let mut cfg = parse_config(args);
     cfg.witness = true;
     let report = ethainter::analyze_bytecode(&code, &cfg);
     if report.timed_out {
@@ -292,7 +284,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("trace: missing <file>")?;
     let code = load_bytecode(path)?;
-    let cfg = parse_config(args)?;
+    let cfg = parse_config(args);
     let json = args.iter().any(|a| a == "--json");
 
     let trace = telemetry::trace::mint();
@@ -509,9 +501,6 @@ impl BatchArgs {
                 "--trace-out" => p.trace_out = Some(take("--trace-out")?),
                 "--no-guards" | "--no-storage" | "--conservative" | "--no-passes"
                 | "--no-range-guards" | "--witness" => {} // parse_config reads these
-                "--engine" => {
-                    take("--engine")?; // parse_config validates the value
-                }
                 other if other.starts_with("--") => {
                     return Err(format!("batch: unknown flag `{other}`"));
                 }
@@ -629,7 +618,7 @@ fn install_trace_writer(path: &str) -> Result<(), String> {
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let parsed = BatchArgs::parse(args)?;
-    let analysis = parse_config(args)?;
+    let analysis = parse_config(args);
     let cfg = parsed.driver_config();
 
     if let Some(path) = &parsed.trace_out {
@@ -838,7 +827,7 @@ fn batch_with_store(
 /// `ethainter serve` — run the analyzer as an HTTP daemon until
 /// SIGINT, then drain gracefully.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut cfg = server::ServerConfig { analysis: parse_config(args)?, ..Default::default() };
+    let mut cfg = server::ServerConfig { analysis: parse_config(args), ..Default::default() };
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut it = args.iter();
@@ -878,9 +867,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--metrics-out" => metrics_out = Some(take("--metrics-out")?),
             "--no-guards" | "--no-storage" | "--conservative" | "--no-passes"
             | "--no-range-guards" | "--witness" => {} // parse_config reads these
-            "--engine" => {
-                take("--engine")?; // parse_config validates the value
-            }
             other => return Err(format!("serve: unknown argument `{other}`")),
         }
     }

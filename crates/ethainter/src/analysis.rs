@@ -25,15 +25,14 @@
 //! [`analyze`] builds the artifacts once, then evaluates — and the
 //! composite (✰) marker pass is a *second evaluation* (frozen fixpoint +
 //! detector sweep) over the very same artifacts, never a rebuild. The
-//! fixpoint itself lives in the crate's private `engine` module, which
-//! offers two verdict-equivalent evaluation strategies selected by
-//! [`Config::engine`] — the naive `dense` re-scan and the
-//! worklist-driven `sparse` engine. Each pipeline phase is wall-clock
+//! fixpoint itself is the crate's worklist-driven sparse engine, which
+//! also records the provenance witnesses are built from — one fixpoint
+//! per verdict, plus the frozen one. Each pipeline phase is wall-clock
 //! timed into [`Stats::timings`], with the sink scan further split into
 //! `detectors`/`effects`/`composite` sub-phases.
 
 use crate::artifacts::{AnalysisArtifacts, Inner};
-use crate::config::{Config, Engine};
+use crate::config::Config;
 use crate::engine::provenance::Provenance;
 use crate::engine::{self, KeyClass, Prepared, State};
 use crate::report::{FactCounts, Finding, Report, Stats, Vuln};
@@ -85,14 +84,19 @@ pub fn analyze(p: &decompiler::Program, cfg: &Config) -> Report {
     AnalysisArtifacts::build(p, cfg).evaluate(cfg)
 }
 
-/// Dispatches the fixpoint to the configured engine over borrowed
-/// artifacts. The sparse indexes are memoized in the artifacts, so a
-/// second call (the frozen composite pass) never rebuilds them.
-fn run_engine(cfg: &Config, inner: &Inner<'_>, st: &mut State) {
-    match cfg.engine {
-        Engine::Sparse => engine::sparse::run(cfg, &inner.prep, inner.sparse_indexes(), st),
-        Engine::Dense => engine::dense::run(cfg, &inner.prep, st),
-    }
+/// One fixpoint evaluation over built artifacts, recording first
+/// derivations into the provenance when one is attached.
+pub(crate) type Fixpoint = fn(&Config, &Inner<'_>, &mut State, Option<&mut Provenance>);
+
+/// The production fixpoint: the sparse worklist engine over the
+/// artifacts' prebuilt indexes.
+fn sparse_fixpoint(
+    cfg: &Config,
+    inner: &Inner<'_>,
+    st: &mut State,
+    prov: Option<&mut Provenance>,
+) {
+    engine::sparse::run(cfg, &inner.prep, &inner.sparse, st, prov);
 }
 
 impl AnalysisArtifacts<'_> {
@@ -102,8 +106,15 @@ impl AnalysisArtifacts<'_> {
     /// `cfg` must agree with the build-time config on the switches the
     /// build phase consumed (`guard_modeling`, `range_guards`); the
     /// evaluation-only switches (`freeze_guards`, `storage_taint`,
-    /// `storage_model`, `engine`, `witness`) may differ freely.
+    /// `storage_model`, `witness`) may differ freely.
     pub fn evaluate(&self, cfg: &Config) -> Report {
+        self.evaluate_with(cfg, sparse_fixpoint)
+    }
+
+    /// [`AnalysisArtifacts::evaluate`] with the fixpoint (main and
+    /// frozen) supplied by the caller. Only the reference oracle passes
+    /// anything but the production engine.
+    pub(crate) fn evaluate_with(&self, cfg: &Config, fixpoint: Fixpoint) -> Report {
         let p = self.p;
         let mut report = Report {
             timed_out: p.incomplete,
@@ -129,9 +140,13 @@ impl AnalysisArtifacts<'_> {
         report.stats.timings.index_build_us = inner.build_us;
 
         // ---- Mutually-recursive fixpoint --------------------------------
+        // With witnesses on, the fixpoint records every fact's first
+        // derivation as it runs (not for the composite-marker
+        // sub-analysis, `freeze_guards`); the recording cost lands here.
         let sp_fix = telemetry::span("ethainter.fixpoint");
         let mut st = State::new(prep);
-        run_engine(cfg, inner, &mut st);
+        let mut prov = (cfg.witness && !cfg.freeze_guards).then(Provenance::default);
+        fixpoint(cfg, inner, &mut st, prov.as_mut());
         report.stats.timings.fixpoint_us = sp_fix.finish_us();
 
         if st.timed_out {
@@ -181,7 +196,7 @@ impl AnalysisArtifacts<'_> {
         let mut composite_us = 0;
         if (st.any_defeat || cfg.storage_taint) && !cfg.freeze_guards {
             let sp_comp = telemetry::span("ethainter.composite");
-            if composite_markers(inner, cfg, &mut report.findings) {
+            if composite_markers(inner, cfg, fixpoint, &mut report.findings) {
                 // The frozen fixpoint timed out: its relations are an
                 // under-approximation, so the markers are conservative
                 // (composite-biased), not exact — surface that.
@@ -197,19 +212,12 @@ impl AnalysisArtifacts<'_> {
         report.stats.timings.stamp_sink_scan(detectors_us, effects_us, composite_us);
 
         // ---- Provenance witnesses (opt-in) ------------------------------
-        // Replay the fixpoint on the dense engine with a first-derivation
-        // recorder and backtrack each finding to its axioms. The replay
-        // starts from a fresh State and always runs dense, so witnesses
-        // are byte-identical whatever engine produced the verdicts above.
-        // Skipped for the composite-marker sub-analysis (`freeze_guards`)
-        // and for timed-out contracts (partial relations would make the
-        // paths misleading).
-        if cfg.witness && !cfg.freeze_guards && !report.timed_out {
+        // Backtrack each finding through the derivations the fixpoint
+        // recorded above. Skipped for timed-out contracts (partial
+        // relations would make the paths misleading).
+        if let Some(prov) = prov.filter(|_| !report.timed_out) {
             let sp_wit = telemetry::span("ethainter.witness");
-            let mut wst = State::new(prep);
-            let mut prov = Provenance::new(prep);
-            engine::dense::run_recording(cfg, prep, &mut wst, &mut prov);
-            report.witnesses = Some(witness::build(&report.findings, prep, &wst, &prov));
+            report.witnesses = Some(witness::build(&report.findings, prep, &st, &prov));
             report.stats.timings.witness_us = sp_wit.finish_us();
             telemetry::metrics::counter("ethainter_witnesses_built_total")
                 .add(report.findings.len() as u64);
@@ -231,7 +239,12 @@ impl AnalysisArtifacts<'_> {
 /// markers degrade conservatively toward `composite = true`; the caller
 /// must propagate the flag into [`Report::timed_out`] (previously it
 /// was silently dropped).
-fn composite_markers(inner: &Inner<'_>, cfg: &Config, findings: &mut [Finding]) -> bool {
+fn composite_markers(
+    inner: &Inner<'_>,
+    cfg: &Config,
+    fixpoint: Fixpoint,
+    findings: &mut [Finding],
+) -> bool {
     let frozen_cfg = Config {
         freeze_guards: true,
         storage_taint: false,
@@ -239,7 +252,7 @@ fn composite_markers(inner: &Inner<'_>, cfg: &Config, findings: &mut [Finding]) 
         ..*cfg
     };
     let mut fst = State::new(&inner.prep);
-    run_engine(&frozen_cfg, inner, &mut fst);
+    fixpoint(&frozen_cfg, inner, &mut fst, None);
     let (frozen, _, _) = detector_sweep(inner, &frozen_cfg, &fst);
     for f in findings {
         let direct = frozen.iter().any(|g| g.vuln == f.vuln && g.stmt == f.stmt);
@@ -373,8 +386,8 @@ fn detector_sweep(inner: &Inner<'_>, cfg: &Config, st: &State) -> (Vec<Finding>,
 
     // ---- Detector suite v2: effect/ordering + origin/time detectors ----
     // All four run over engine-independent inputs (the memoized
-    // effect/ordering summaries and the shared fixpoint state), so dense
-    // and sparse verdicts stay byte-identical by construction.
+    // effect/ordering summaries and the shared fixpoint state), so the
+    // reference oracle's verdicts stay byte-identical by construction.
     let sp_eff = telemetry::span("ethainter.effects");
 
     // Reentrancy + unchecked call return both need external-call sites;
@@ -606,7 +619,7 @@ mod tests {
         let mut findings = art.evaluate(&cfg).findings;
         assert!(!findings.is_empty(), "fixture must produce findings");
         let frozen_timed_out = with_deadline(Instant::now(), || {
-            composite_markers(inner, &cfg, &mut findings)
+            composite_markers(inner, &cfg, sparse_fixpoint, &mut findings)
         });
         assert!(
             frozen_timed_out,
@@ -637,11 +650,7 @@ mod tests {
         // of (artifacts, config) — evaluating twice gives byte-identical
         // reports, each equal to a fresh monolithic analyze.
         let p = composite_vulnerable_program();
-        for cfg in [
-            Config::default(),
-            Config { engine: Engine::Dense, ..Config::default() },
-            Config { witness: true, ..Config::default() },
-        ] {
+        for cfg in [Config::default(), Config { witness: true, ..Config::default() }] {
             let art = AnalysisArtifacts::build(&p, &cfg);
             let mut a = art.evaluate(&cfg);
             let mut b = art.evaluate(&cfg);

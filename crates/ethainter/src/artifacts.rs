@@ -32,7 +32,7 @@
 //! contracts have no external calls, so the effect summary never runs) —
 //! and shared by every evaluation thereafter.
 
-use crate::config::{Config, Engine};
+use crate::config::Config;
 use crate::engine::indexes::SparseIndexes;
 use crate::engine::{CondRegion, Ctx, Prepared};
 use decompiler::passes::{effects, storage};
@@ -73,10 +73,8 @@ pub(crate) struct Inner<'a> {
     /// Wall-clock µs of the build phase, stamped into
     /// `timings.index_build_us` by the first evaluation.
     pub(crate) build_us: u64,
-    /// The sparse engine's edge maps. Built eagerly (inside `build_us`)
-    /// when the build config selects the sparse engine, lazily on first
-    /// sparse evaluation otherwise.
-    sparse: OnceCell<SparseIndexes>,
+    /// The sparse engine's worklist indexes.
+    pub(crate) sparse: SparseIndexes,
     /// Per-function storage write summaries (tainted-owner pre-filter).
     storage_summaries: OnceCell<Vec<storage::FunctionStorage>>,
     /// Interprocedural effect/ordering summary (detector suite v2).
@@ -90,8 +88,8 @@ pub(crate) struct Inner<'a> {
 impl<'a> AnalysisArtifacts<'a> {
     /// Builds every program-derived artifact: dominators, interval
     /// branch pruning, constants, `DS`/`DSA`, guards, memory def-use,
-    /// the `Prepared` assembly, and (for the sparse engine) the
-    /// worklist indexes. Nothing here depends on
+    /// the `Prepared` assembly, and the sparse engine's worklist
+    /// indexes. Nothing here depends on
     /// `freeze_guards`/`storage_taint`/`witness`.
     pub fn build(p: &'a Program, cfg: &Config) -> AnalysisArtifacts<'a> {
         if p.incomplete || p.blocks.is_empty() {
@@ -156,32 +154,22 @@ impl<'a> AnalysisArtifacts<'a> {
         // Intern the slot universe and resolve per-statement key
         // classifications once; every evaluation then runs atom-indexed.
         let prep = Prepared::build(ctx, guards, dom, live_block, n_dead_edges, mem_stores);
-        let mut inner = Inner {
+        let sparse = SparseIndexes::build(&prep);
+        let inner = Inner {
             prep,
             built_for: *cfg,
-            build_us: 0,
-            sparse: OnceCell::new(),
+            build_us: sp_index.finish_us(),
+            sparse,
             storage_summaries: OnceCell::new(),
             effects: OnceCell::new(),
             reordered: OnceCell::new(),
             cond_regions: OnceCell::new(),
         };
-        // The sparse engine's edge maps are part of its index-build
-        // cost; the dense engine never pays for them.
-        if cfg.engine == Engine::Sparse {
-            inner.sparse_indexes();
-        }
-        inner.build_us = sp_index.finish_us();
         AnalysisArtifacts { p, inner: Some(inner) }
     }
 }
 
 impl Inner<'_> {
-    /// The sparse engine's worklist indexes, built on first use.
-    pub(crate) fn sparse_indexes(&self) -> &SparseIndexes {
-        self.sparse.get_or_init(|| SparseIndexes::build(&self.prep))
-    }
-
     /// Per-function storage write summaries, computed at most once per
     /// program (the tainted-owner pre-filter consults them on every
     /// evaluation).

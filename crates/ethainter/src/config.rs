@@ -18,43 +18,6 @@ pub enum StorageModel {
     Conservative,
 }
 
-/// Which fixpoint evaluation strategy runs the Figure 5 mutual
-/// recursion. Both engines compute the **same unique fixpoint** (the
-/// rule system is monotone), so the choice affects speed only — see the
-/// differential suites in `crates/bench/tests/engine_differential.rs`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum Engine {
-    /// Naive evaluation: every round re-scans every statement until
-    /// nothing changes. O(rounds × stmts); kept as the executable
-    /// specification the sparse engine is differentially tested against.
-    Dense,
-    /// Worklist-driven evaluation over one-time def→use / storage /
-    /// guard-region indexes: only statements whose inputs changed are
-    /// re-evaluated, and a defeated guard re-pushes exactly its region.
-    /// The production default.
-    #[default]
-    Sparse,
-}
-
-impl Engine {
-    /// CLI / display name (`dense` | `sparse`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Dense => "dense",
-            Engine::Sparse => "sparse",
-        }
-    }
-
-    /// Parses a CLI `--engine` value.
-    pub fn parse(s: &str) -> Result<Engine, String> {
-        match s {
-            "dense" => Ok(Engine::Dense),
-            "sparse" => Ok(Engine::Sparse),
-            other => Err(format!("unknown engine `{other}` (expected dense|sparse)")),
-        }
-    }
-}
-
 /// Analysis switches. The defaults reproduce the paper's main
 /// configuration; the ablations of Figure 8 flip one switch each.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -82,27 +45,16 @@ pub struct Config {
     /// Refines `ReachableByAttacker` monotonically (strictly fewer
     /// false positives behind statically-decided branches).
     pub range_guards: bool,
-    /// Fixpoint evaluation strategy. **Deliberately excluded from
-    /// [`Config::fingerprint`]**: the sparse and dense engines compute
-    /// the same unique fixpoint of the same monotone rule system, so
-    /// they can never change verdicts, findings, or fact counts — a
-    /// guarantee enforced forever by the 500-contract differential test
-    /// and the proptest equivalence suite in
-    /// `crates/bench/tests/engine_differential.rs`. Keeping it out of
-    /// the fingerprint means a result cache populated under one engine
-    /// stays warm after switching engines (asserted by
-    /// `crates/store/tests/resume.rs::warm_hits_survive_engine_switch`).
-    #[serde(default)]
-    pub engine: Engine,
-    /// Record taint provenance and attach a source→sink
-    /// [`Witness`](crate::witness::Witness) to every finding, via a
-    /// second (dense, recording) fixpoint run. Costs roughly one extra
-    /// dense fixpoint per contract; off by default. Like
-    /// [`Config::engine`], **excluded from [`Config::fingerprint`]**:
-    /// witnesses are derived observability riding on the verdicts, never
-    /// changing findings, fact counts, or rounds — and the store strips
-    /// them from cache entries and `merged.jsonl`, so a cache populated
-    /// without witnesses stays warm when they are turned on.
+    /// Record taint provenance during the fixpoint and attach a
+    /// source→sink [`Witness`](crate::witness::Witness) to every
+    /// finding. The production engine records each fact's first
+    /// derivation as it derives it, so the explanation comes from the
+    /// same evaluation as the verdict; off by default. **Excluded from
+    /// [`Config::fingerprint`]**: witnesses are derived observability
+    /// riding on the verdicts, never changing findings, fact counts, or
+    /// rounds — and the store strips them from cache entries and
+    /// `merged.jsonl`, so a cache populated without witnesses stays warm
+    /// when they are turned on.
     #[serde(default)]
     pub witness: bool,
 }
@@ -116,7 +68,6 @@ impl Default for Config {
             freeze_guards: false,
             optimize_ir: true,
             range_guards: true,
-            engine: Engine::default(),
             witness: false,
         }
     }
@@ -144,18 +95,12 @@ impl Config {
     ///   spelled out here), and the `ethainter-config-v1` domain tag
     ///   versions the scheme itself.
     ///
-    /// Two fields are deliberately **not** part of the fingerprint:
-    /// [`Config::engine`] and [`Config::witness`]. The fingerprint's
-    /// contract is "equal fingerprints ⇒ equal verdicts", and the engine
-    /// cannot change verdicts by the differential guarantee (both
-    /// engines reach the same unique fixpoint of the same monotone
-    /// rules). Including it would cold-start every result cache on an
-    /// engine switch for no correctness gain; excluding it makes warm
-    /// hits survive `--engine dense` ⇄ `--engine sparse`. Likewise
-    /// `witness` only adds derived observability (stripped from cache
-    /// entries anyway) and can never change a verdict. If a future
-    /// engine is ever *not* verdict-equivalent, it must be a new
-    /// analyzer version ([`crate::ANALYZER_VERSION`] bump), not a
+    /// [`Config::witness`] is deliberately **not** part of the
+    /// fingerprint. The fingerprint's contract is "equal fingerprints ⇒
+    /// equal verdicts", and `witness` only adds derived observability
+    /// (stripped from cache entries anyway) that can never change a
+    /// verdict. A change to the analysis that changes verdicts must be
+    /// a new analyzer version ([`crate::ANALYZER_VERSION`] bump), not a
     /// fingerprint field.
     pub fn fingerprint(&self) -> [u8; 32] {
         let canonical = format!(

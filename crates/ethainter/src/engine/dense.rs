@@ -3,104 +3,20 @@
 //! Every round re-scans every statement: taint propagation to an inner
 //! fixpoint, then storage writes, then guard defeat, then a full
 //! `ReachableByAttacker` recomputation, until a round changes nothing.
-//! O(rounds × stmts) and deliberately simple; the sparse engine is
-//! differentially tested against this one.
-//!
-//! Because this engine's evaluation order is fully deterministic
-//! (statement order, then guard order), it doubles as the **canonical
-//! provenance recorder**: [`run_recording`] is the same fixpoint with a
-//! [`Provenance`] attached, noting the first derivation of every fact.
-//! The witness layer replays it even when the production engine is
-//! sparse, so witnesses never depend on worklist scheduling.
+//! O(rounds × stmts) and deliberately simple. No production path runs
+//! it: it is the reference oracle ([`crate::reference`]) the sparse
+//! engine is differentially tested against.
 
-use super::provenance::{Edge, FactId, Provenance};
-use super::{
-    guard_defeated, recompute_rba, Guard, GuardCond, GuardKind, KeyClass, Prepared, State,
-};
+use super::{guard_defeated, recompute_rba, KeyClass, Prepared, State};
 use crate::analysis::deadline_exceeded;
 use crate::config::{Config, StorageModel};
-use decompiler::{Op, Var};
+use decompiler::Op;
 use evm::opcode::Opcode;
 
 /// Runs the dense fixpoint, mutating `st` in place until convergence,
 /// timeout, or the 64-round safety cap.
 pub(crate) fn run(cfg: &Config, prep: &Prepared<'_>, st: &mut State) {
-    run_impl(cfg, prep, st, None);
-}
-
-/// [`run`], recording the first derivation of every fact into `prov`.
-pub(crate) fn run_recording(
-    cfg: &Config,
-    prep: &Prepared<'_>,
-    st: &mut State,
-    prov: &mut Provenance,
-) {
-    run_impl(cfg, prep, st, Some(prov));
-}
-
-/// The prerequisite facts that defeat `guard` under the current state —
-/// the provenance mirror of [`guard_defeated`]. Membership tests run
-/// over atoms (`atoms` is the guard's [`Prepared::guard_atoms`] row);
-/// the cited [`FactId`]s carry the 256-bit slots straight from the
-/// guard kinds, so witnesses stay atom-free.
-fn defeat_sources(guard: &Guard, atoms: &[Option<u32>], st: &State) -> Vec<FactId> {
-    let ci = guard.cond.0;
-    if st.input_tainted[ci as usize] {
-        return vec![FactId::Input(ci)];
-    }
-    if st.storage_tainted[ci as usize] {
-        return vec![FactId::Storage(ci)];
-    }
-    let kind_fact = |(i, k): (usize, &GuardKind)| -> Option<FactId> {
-        match k {
-            GuardKind::SenderEqSlot(v) => {
-                if atoms[i].is_some_and(|a| st.tainted_slots.contains(a)) {
-                    Some(FactId::Slot(*v))
-                } else if st.all_slots_tainted {
-                    Some(FactId::AllSlots)
-                } else {
-                    None
-                }
-            }
-            GuardKind::Membership(base) => atoms[i]
-                .is_some_and(|a| st.writable_mappings.contains(a))
-                .then_some(FactId::Writable(*base)),
-            GuardKind::SenderEqOther | GuardKind::SenderOpaque => None,
-        }
-    };
-    let defeated: Vec<FactId> = guard
-        .cond_kind
-        .kinds()
-        .iter()
-        .enumerate()
-        .filter_map(kind_fact)
-        .collect();
-    match &guard.cond_kind {
-        // One defeated disjunct suffices; cite only the first.
-        GuardCond::Disj(_) => defeated.into_iter().take(1).collect(),
-        _ => defeated,
-    }
-}
-
-fn run_impl(
-    cfg: &Config,
-    prep: &Prepared<'_>,
-    st: &mut State,
-    mut prov: Option<&mut Provenance>,
-) {
     let p = prep.ctx.p;
-    // Reborrow-per-record helper: provenance is recorded only when a
-    // recorder is attached, and only for first derivations.
-    macro_rules! rec {
-        ($fact:expr, $edge:expr) => {
-            if let Some(pr) = prov.as_deref_mut() {
-                pr.record($fact, $edge);
-            }
-        };
-    }
-    let first_with = |uses: &[Var], pred: &dyn Fn(Var) -> bool| -> Option<Var> {
-        uses.iter().copied().find(|&u| pred(u))
-    };
     loop {
         st.rounds += 1;
         let mut changed = false;
@@ -113,6 +29,13 @@ fn run_impl(
         // stable — statement order is arbitrary).
         loop {
             let mut inner_changed = false;
+            // Sets one bit, noting whether it was newly set.
+            let mut set = |bit: &mut bool| {
+                if !*bit {
+                    *bit = true;
+                    inner_changed = true;
+                }
+            };
             for s in p.iter_stmts() {
                 let stmt_rba = st.rba[s.block.0 as usize];
                 let Some(d) = s.def else {
@@ -120,187 +43,66 @@ fn run_impl(
                 };
                 let di = d.0 as usize;
                 match &s.op {
-                    Op::CallDataLoad
-                        // TaintedFlow(x,x) :- ReachableByAttacker(s),
-                        //                     CALLDATALOAD(s, x).
-                        if stmt_rba && !st.input_tainted[di] => {
-                            st.input_tainted[di] = true;
-                            rec!(FactId::Input(d.0), Edge {
-                                rule: "source-calldata",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![FactId::Reach(s.block.0)],
-                            });
-                            inner_changed = true;
-                        }
+                    // TaintedFlow(x,x) :- ReachableByAttacker(s),
+                    //                     CALLDATALOAD(s, x).
+                    Op::CallDataLoad if stmt_rba => set(&mut st.input_tainted[di]),
                     // OriginFlow / TimeFlow sources (detector suite v2):
                     // environment reads, unconditional like storage
                     // taint — the value exists on every path.
-                    Op::Env(Opcode::Origin) if !st.origin_tainted[di] => {
-                        st.origin_tainted[di] = true;
-                        rec!(FactId::Origin(d.0), Edge {
-                            rule: "source-origin",
-                            stmt: Some(s.id),
-                            via: None,
-                            sources: vec![],
-                        });
-                        inner_changed = true;
-                    }
-                    Op::Env(Opcode::Timestamp) if !st.time_tainted[di] => {
-                        st.time_tainted[di] = true;
-                        rec!(FactId::Time(d.0), Edge {
-                            rule: "source-timestamp",
-                            stmt: Some(s.id),
-                            via: None,
-                            sources: vec![],
-                        });
-                        inner_changed = true;
-                    }
+                    Op::Env(Opcode::Origin) => set(&mut st.origin_tainted[di]),
+                    Op::Env(Opcode::Timestamp) => set(&mut st.time_tainted[di]),
                     Op::Copy
                     | Op::Bin(_)
                     | Op::Un(_)
                     | Op::Hash2
                     | Op::Sha3
                     | Op::Other(_) => {
-                        let any_in = s.uses.iter().any(|u| st.input_tainted[u.0 as usize]);
-                        let any_st =
-                            s.uses.iter().any(|u| st.storage_tainted[u.0 as usize]);
-                        let any_or = s.uses.iter().any(|u| st.origin_tainted[u.0 as usize]);
-                        let any_tm = s.uses.iter().any(|u| st.time_tainted[u.0 as usize]);
-                        if any_or && !st.origin_tainted[di] {
-                            let u = first_with(&s.uses, &|u: Var| {
-                                st.origin_tainted[u.0 as usize]
-                            });
-                            st.origin_tainted[di] = true;
-                            rec!(FactId::Origin(d.0), Edge {
-                                rule: "flow",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![FactId::Origin(u.expect("any_or").0)],
-                            });
-                            inner_changed = true;
+                        let any = |bits: &[bool]| s.uses.iter().any(|u| bits[u.0 as usize]);
+                        let any_in = any(&st.input_tainted);
+                        let any_st = any(&st.storage_tainted);
+                        let any_or = any(&st.origin_tainted);
+                        let any_tm = any(&st.time_tainted);
+                        if any_or {
+                            set(&mut st.origin_tainted[di]);
                         }
-                        if any_tm && !st.time_tainted[di] {
-                            let u = first_with(&s.uses, &|u: Var| {
-                                st.time_tainted[u.0 as usize]
-                            });
-                            st.time_tainted[di] = true;
-                            rec!(FactId::Time(d.0), Edge {
-                                rule: "flow",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![FactId::Time(u.expect("any_tm").0)],
-                            });
-                            inner_changed = true;
+                        if any_tm {
+                            set(&mut st.time_tainted[di]);
                         }
                         // Input taint moves only through attacker-reachable
                         // statements (Guard-2); storage taint through all
                         // (Guard-1).
-                        if any_in && stmt_rba && !st.input_tainted[di] {
-                            // Source lookup precedes the mutation so a
-                            // self-referential def can't cite itself.
-                            let u = first_with(&s.uses, &|u: Var| {
-                                st.input_tainted[u.0 as usize]
-                            });
-                            st.input_tainted[di] = true;
-                            rec!(FactId::Input(d.0), Edge {
-                                rule: "flow",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![
-                                    FactId::Input(u.expect("any_in").0),
-                                    FactId::Reach(s.block.0),
-                                ],
-                            });
-                            inner_changed = true;
+                        if any_in && stmt_rba {
+                            set(&mut st.input_tainted[di]);
                         }
-                        if any_st && !st.storage_tainted[di] {
-                            let u = first_with(&s.uses, &|u: Var| {
-                                st.storage_tainted[u.0 as usize]
-                            });
-                            st.storage_tainted[di] = true;
-                            rec!(FactId::Storage(d.0), Edge {
-                                rule: "flow",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![FactId::Storage(u.expect("any_st").0)],
-                            });
-                            inner_changed = true;
+                        if any_st {
+                            set(&mut st.storage_tainted[di]);
                         }
                     }
                     Op::MLoad => {
                         // Local memory modeling: values stored at the same
                         // constant offset flow to this load.
-                        if let Some(off) = prep.ctx.consts[s.uses[0].0 as usize] {
-                            if let Some(stores) = prep.mem_stores.get(&off) {
-                                let any_in = stores
-                                    .iter()
-                                    .any(|(_, v)| st.input_tainted[v.0 as usize]);
-                                let any_st = stores
-                                    .iter()
-                                    .any(|(_, v)| st.storage_tainted[v.0 as usize]);
-                                if any_in && stmt_rba && !st.input_tainted[di] {
-                                    let (sid, v) = *stores
-                                        .iter()
-                                        .find(|(_, v)| st.input_tainted[v.0 as usize])
-                                        .expect("any_in");
-                                    st.input_tainted[di] = true;
-                                    rec!(FactId::Input(d.0), Edge {
-                                        rule: "mem-flow",
-                                        stmt: Some(s.id),
-                                        via: Some(sid),
-                                        sources: vec![
-                                            FactId::Input(v.0),
-                                            FactId::Reach(s.block.0),
-                                        ],
-                                    });
-                                    inner_changed = true;
-                                }
-                                if any_st && !st.storage_tainted[di] {
-                                    let (sid, v) = *stores
-                                        .iter()
-                                        .find(|(_, v)| st.storage_tainted[v.0 as usize])
-                                        .expect("any_st");
-                                    st.storage_tainted[di] = true;
-                                    rec!(FactId::Storage(d.0), Edge {
-                                        rule: "mem-flow",
-                                        stmt: Some(s.id),
-                                        via: Some(sid),
-                                        sources: vec![FactId::Storage(v.0)],
-                                    });
-                                    inner_changed = true;
-                                }
-                                let or_store = stores
-                                    .iter()
-                                    .find(|(_, v)| st.origin_tainted[v.0 as usize]);
-                                if let Some(&(sid, v)) = or_store {
-                                    if !st.origin_tainted[di] {
-                                        st.origin_tainted[di] = true;
-                                        rec!(FactId::Origin(d.0), Edge {
-                                            rule: "mem-flow",
-                                            stmt: Some(s.id),
-                                            via: Some(sid),
-                                            sources: vec![FactId::Origin(v.0)],
-                                        });
-                                        inner_changed = true;
-                                    }
-                                }
-                                let tm_store = stores
-                                    .iter()
-                                    .find(|(_, v)| st.time_tainted[v.0 as usize]);
-                                if let Some(&(sid, v)) = tm_store {
-                                    if !st.time_tainted[di] {
-                                        st.time_tainted[di] = true;
-                                        rec!(FactId::Time(d.0), Edge {
-                                            rule: "mem-flow",
-                                            stmt: Some(s.id),
-                                            via: Some(sid),
-                                            sources: vec![FactId::Time(v.0)],
-                                        });
-                                        inner_changed = true;
-                                    }
-                                }
-                            }
+                        let Some(off) = prep.ctx.consts[s.uses[0].0 as usize] else {
+                            continue;
+                        };
+                        let Some(stores) = prep.mem_stores.get(&off) else {
+                            continue;
+                        };
+                        let any = |bits: &[bool]| stores.iter().any(|(_, v)| bits[v.0 as usize]);
+                        let any_in = any(&st.input_tainted);
+                        let any_st = any(&st.storage_tainted);
+                        let any_or = any(&st.origin_tainted);
+                        let any_tm = any(&st.time_tainted);
+                        if any_in && stmt_rba {
+                            set(&mut st.input_tainted[di]);
+                        }
+                        if any_st {
+                            set(&mut st.storage_tainted[di]);
+                        }
+                        if any_or {
+                            set(&mut st.origin_tainted[di]);
+                        }
+                        if any_tm {
+                            set(&mut st.time_tainted[di]);
                         }
                     }
                     Op::SLoad => {
@@ -322,25 +124,8 @@ fn run_impl(
                         };
                         // StorageLoad: loads of tainted storage are
                         // storage-tainted, eluding guards.
-                        if tainted_load && !st.storage_tainted[di] {
-                            st.storage_tainted[di] = true;
-                            let source = match addr {
-                                KeyClass::Const(a) if st.tainted_slots.contains(*a) => {
-                                    FactId::Slot(*prep.slots.resolve(*a))
-                                }
-                                KeyClass::Const(_) => FactId::AllSlots,
-                                KeyClass::Mapping { base, .. } => {
-                                    FactId::MappingTaint(*prep.slots.resolve(*base))
-                                }
-                                KeyClass::Unknown => FactId::UnknownStore,
-                            };
-                            rec!(FactId::Storage(d.0), Edge {
-                                rule: "storage-load",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: vec![source],
-                            });
-                            inner_changed = true;
+                        if tainted_load {
+                            set(&mut st.storage_tainted[di]);
                         }
                     }
                     _ => {}
@@ -373,65 +158,17 @@ fn run_impl(
                 if !tainted_value {
                     continue;
                 }
-                // The fact that makes this store's value tainted, for
-                // provenance (storage taint first, mirroring rule
-                // priority; attacker-reachability cited when needed).
-                let value_sources = || -> Vec<FactId> {
-                    if v_st {
-                        vec![FactId::Storage(value.0)]
-                    } else if v_in {
-                        vec![FactId::Input(value.0), FactId::Reach(s.block.0)]
-                    } else {
-                        vec![FactId::Sender(value.0), FactId::Reach(s.block.0)]
-                    }
-                };
                 match prep.key_class[s.id.0 as usize].as_ref().unwrap() {
                     KeyClass::Const(a) => {
-                        if st.tainted_slots.insert(*a) {
-                            rec!(FactId::Slot(*prep.slots.resolve(*a)), Edge {
-                                rule: "storage-write",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: value_sources(),
-                            });
-                            changed = true;
-                        }
+                        changed |= st.tainted_slots.insert(*a);
                     }
                     KeyClass::Mapping { base, keys } => {
-                        if st.tainted_mappings.insert(*base) {
-                            rec!(FactId::MappingTaint(*prep.slots.resolve(*base)), Edge {
-                                rule: "storage-write",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources: value_sources(),
-                            });
-                            changed = true;
-                        }
+                        changed |= st.tainted_mappings.insert(*base);
                         let key_attacker = keys.iter().any(|k| {
                             prep.ctx.ds[k.0 as usize] || st.input_tainted[k.0 as usize]
                         });
-                        if key_attacker && st.writable_mappings.insert(*base) {
-                            let k = *keys
-                                .iter()
-                                .find(|k| {
-                                    prep.ctx.ds[k.0 as usize]
-                                        || st.input_tainted[k.0 as usize]
-                                })
-                                .expect("key_attacker");
-                            let key_fact = if prep.ctx.ds[k.0 as usize] {
-                                FactId::Sender(k.0)
-                            } else {
-                                FactId::Input(k.0)
-                            };
-                            let mut sources = vec![key_fact];
-                            sources.extend(value_sources());
-                            rec!(FactId::Writable(*prep.slots.resolve(*base)), Edge {
-                                rule: "enroll",
-                                stmt: Some(s.id),
-                                via: None,
-                                sources,
-                            });
-                            changed = true;
+                        if key_attacker {
+                            changed |= st.writable_mappings.insert(*base);
                         }
                     }
                     KeyClass::Unknown => {
@@ -443,36 +180,12 @@ fn run_impl(
                             || st.storage_tainted[key.0 as usize];
                         let conservative =
                             cfg.storage_model == StorageModel::Conservative;
-                        if key_tainted || conservative {
-                            let sources = || -> Vec<FactId> {
-                                let mut srcs = value_sources();
-                                if st.input_tainted[key.0 as usize] {
-                                    srcs.push(FactId::Input(key.0));
-                                } else if st.storage_tainted[key.0 as usize] {
-                                    srcs.push(FactId::Storage(key.0));
-                                }
-                                srcs
-                            };
-                            if !st.all_slots_tainted {
-                                st.all_slots_tainted = true;
-                                rec!(FactId::AllSlots, Edge {
-                                    rule: "storage-write-unknown",
-                                    stmt: Some(s.id),
-                                    via: None,
-                                    sources: sources(),
-                                });
-                                changed = true;
-                            }
-                            if !st.unknown_store_tainted {
-                                st.unknown_store_tainted = true;
-                                rec!(FactId::UnknownStore, Edge {
-                                    rule: "storage-write-unknown",
-                                    stmt: Some(s.id),
-                                    via: None,
-                                    sources: sources(),
-                                });
-                                changed = true;
-                            }
+                        if (key_tainted || conservative)
+                            && !(st.all_slots_tainted && st.unknown_store_tainted)
+                        {
+                            st.all_slots_tainted = true;
+                            st.unknown_store_tainted = true;
+                            changed = true;
                         }
                     }
                 }
@@ -500,26 +213,8 @@ fn run_impl(
                     let key_attacker = keys.iter().any(|k| {
                         prep.ctx.ds[k.0 as usize] || st.input_tainted[k.0 as usize]
                     });
-                    if key_attacker && st.writable_mappings.insert(*base) {
-                        let k = *keys
-                            .iter()
-                            .find(|k| {
-                                prep.ctx.ds[k.0 as usize]
-                                    || st.input_tainted[k.0 as usize]
-                            })
-                            .expect("key_attacker");
-                        let key_fact = if prep.ctx.ds[k.0 as usize] {
-                            FactId::Sender(k.0)
-                        } else {
-                            FactId::Input(k.0)
-                        };
-                        rec!(FactId::Writable(*prep.slots.resolve(*base)), Edge {
-                            rule: "enroll",
-                            stmt: Some(s.id),
-                            via: None,
-                            sources: vec![key_fact, FactId::Reach(s.block.0)],
-                        });
-                        changed = true;
+                    if key_attacker {
+                        changed |= st.writable_mappings.insert(*base);
                     }
                 }
             }
@@ -529,51 +224,16 @@ fn run_impl(
         // ReachableByAttacker(s) :- StaticallyGuardedStatement(s, guard),
         //                           TaintedFlow(_, guard).
         for g in 0..prep.guards.len() {
-            if st.defeated[g] {
+            if st.defeated[g] || cfg.freeze_guards {
                 continue;
             }
-            if guard_defeated(&prep.guards[g], &prep.guard_atoms[g], st, cfg)
-                && !cfg.freeze_guards
-            {
+            if guard_defeated(&prep.guards[g], &prep.guard_atoms[g], st, cfg) {
                 st.defeated[g] = true;
                 st.any_defeat = true;
-                rec!(FactId::Defeated(g), Edge {
-                    rule: "guard-defeat",
-                    stmt: None,
-                    via: None,
-                    sources: defeat_sources(&prep.guards[g], &prep.guard_atoms[g], st),
-                });
                 changed = true;
             }
         }
-        // When recording, diff `rba` around the recomputation so blocks
-        // opened by this round's defeats get a provenance edge citing
-        // every (now defeated) guard that was covering them.
-        let rba_before = prov.is_some().then(|| st.rba.clone());
         recompute_rba(prep, &st.defeated, &mut st.rba);
-        if let Some(before) = rba_before {
-            for (b, (&was, &now)) in before.iter().zip(&st.rba).enumerate() {
-                if was || !now {
-                    continue;
-                }
-                let covering: Vec<FactId> = prep
-                    .guards
-                    .iter()
-                    .enumerate()
-                    .filter(|(g, guard)| {
-                        st.defeated[*g]
-                            && guard.region.iter().any(|blk| blk.0 as usize == b)
-                    })
-                    .map(|(g, _)| FactId::Defeated(g))
-                    .collect();
-                rec!(FactId::Reach(b as u32), Edge {
-                    rule: "guards-defeated",
-                    stmt: None,
-                    via: None,
-                    sources: covering,
-                });
-            }
-        }
 
         if !changed || st.rounds > 64 {
             break;

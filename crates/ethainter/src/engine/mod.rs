@@ -6,14 +6,17 @@
 //! defeated-guard set, and `ReachableByAttacker` (which is an
 //! anti-monotone function of the *undefeated* guards, hence monotone in
 //! the defeated set). A monotone system has a unique least fixpoint, so
-//! *any* fair evaluation strategy computes the same relations. This
-//! module offers two:
+//! *any* fair evaluation strategy computes the same relations. Two
+//! strategies live here:
 //!
-//! - [`dense`] — naive evaluation, re-scanning every statement per
-//!   round. Simple enough to read as the executable specification.
 //! - [`sparse`] — worklist evaluation over the one-time [`indexes`]:
-//!   only statements whose inputs changed are re-evaluated. The
-//!   production default ([`Engine::Sparse`](crate::config::Engine)).
+//!   only statements whose inputs changed are re-evaluated. The one
+//!   production engine; it also records the first-derivation
+//!   [`provenance`] that witnesses are built from.
+//! - [`dense`] — naive evaluation, re-scanning every statement per
+//!   round. Simple enough to read as the executable specification; it
+//!   is reachable only through the reference oracle
+//!   ([`crate::reference`]).
 //!
 //! Everything semantic is shared here — guard discovery, storage-address
 //! classification, the `DS`/`DSA` relations, the defeat predicate, and

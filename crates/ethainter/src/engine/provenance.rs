@@ -1,39 +1,39 @@
 //! First-derivation provenance for the fixpoint relations.
 //!
-//! When witnesses are requested, the dense engine re-runs the fixpoint
-//! from a fresh [`State`](super::State) with a [`Provenance`] recorder
-//! attached, and every mutation site records *why* the fact first
-//! became true: the rule name, the statement that fired, and the
-//! prerequisite facts ([`FactId`]s). Because the rule system is
-//! monotone, first-derivation edges form an acyclic graph rooted at the
-//! axioms (CALLDATALOAD sources, `msg.sender`, unguarded blocks), so
-//! backtracking from any sink fact replays a concrete source→sink path.
+//! When witnesses are requested, the production (sparse) engine runs the
+//! main fixpoint with a [`Provenance`] recorder attached, and every event
+//! that sets a fact records *why* the fact first became true: the rule
+//! name, the statement that fired, and the prerequisite facts
+//! ([`FactId`]s). An edge is recorded just before its fact is set and
+//! cites only facts that already hold, so the edges form an acyclic
+//! graph rooted at the axioms (CALLDATALOAD sources, `msg.sender`,
+//! unguarded blocks), and backtracking from any sink fact replays a
+//! concrete source→sink path.
 //!
-//! The dense engine's iteration order is fully deterministic (statement
-//! order, then guard order, then block order), which is what makes
-//! witnesses **byte-identical across engines**: the production engine
-//! may be sparse, but provenance always comes from the same canonical
-//! dense replay. The replay costs one extra dense fixpoint and is only
-//! paid when [`Config::witness`](crate::Config) is on.
+//! The explanation therefore comes from the very evaluation that
+//! produced the verdict. The worklist order is a deterministic function
+//! of the program, so witnesses are a deterministic function of
+//! (program, config). Recording is only paid when
+//! [`Config::witness`](crate::Config) is on, and its cost lands in the
+//! `fixpoint` phase.
 
-use super::Prepared;
 use decompiler::StmtId;
-use evm::U256;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A fact of the fixpoint state, addressable for provenance lookup.
+/// Storage slots are interned atoms of `Prepared::slots`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum FactId {
     /// Variable carries input taint (`TaintedFlow`).
     Input(u32),
     /// Variable carries storage taint (`AttackerModelInfoflow`).
     Storage(u32),
-    /// Constant storage slot holds tainted data.
-    Slot(U256),
-    /// Mapping base slot holds tainted data.
-    MappingTaint(U256),
-    /// Mapping base slot the attacker can enroll into.
-    Writable(U256),
+    /// Constant storage slot (by atom) holds tainted data.
+    Slot(u32),
+    /// Mapping base slot (by atom) holds tainted data.
+    MappingTaint(u32),
+    /// Mapping base slot (by atom) the attacker can enroll into.
+    Writable(u32),
     /// `StorageWrite-2` fired: every known slot tainted.
     AllSlots,
     /// A tainted store to an unresolved address exists.
@@ -62,88 +62,39 @@ pub(crate) struct Edge {
     pub sources: Vec<FactId>,
 }
 
-/// First-derivation edges for every fact the replay derived. Facts with
-/// no entry are axioms (or were never derived).
+impl Edge {
+    /// An edge fired by the rule `rule` at statement `stmt`.
+    pub fn at(rule: &'static str, stmt: StmtId, sources: Vec<FactId>) -> Edge {
+        Edge { rule, stmt: Some(stmt), via: None, sources }
+    }
+}
+
+/// First-derivation edges, keyed by fact. Facts with no entry are
+/// axioms (or were never derived). One map rather than a table per
+/// relation: a run derives far fewer facts than the program has
+/// variables, so per-variable tables would be mostly empty.
+#[derive(Default)]
 pub(crate) struct Provenance {
-    input: Vec<Option<Edge>>,
-    storage: Vec<Option<Edge>>,
-    slots: HashMap<U256, Edge>,
-    mappings: HashMap<U256, Edge>,
-    writable: HashMap<U256, Edge>,
-    all_slots: Option<Edge>,
-    unknown_store: Option<Edge>,
-    defeated: Vec<Option<Edge>>,
-    reach: Vec<Option<Edge>>,
-    origin: Vec<Option<Edge>>,
-    time: Vec<Option<Edge>>,
+    edges: HashMap<FactId, Edge>,
+    /// Recorded facts in recording order, for the acyclicity test.
+    #[cfg(test)]
+    pub order: Vec<FactId>,
 }
 
 impl Provenance {
-    /// Empty recorder sized for `prep`'s program.
-    pub fn new(prep: &Prepared<'_>) -> Provenance {
-        Provenance {
-            input: vec![None; prep.ctx.p.n_vars as usize],
-            storage: vec![None; prep.ctx.p.n_vars as usize],
-            slots: HashMap::new(),
-            mappings: HashMap::new(),
-            writable: HashMap::new(),
-            all_slots: None,
-            unknown_store: None,
-            defeated: vec![None; prep.guards.len()],
-            reach: vec![None; prep.ctx.p.blocks.len()],
-            origin: vec![None; prep.ctx.p.n_vars as usize],
-            time: vec![None; prep.ctx.p.n_vars as usize],
-        }
-    }
-
     /// Records the first derivation of `fact`; later derivations are
-    /// ignored (the dense replay visits sites in deterministic order,
-    /// so "first" is canonical).
+    /// ignored (the engine sets each fact once, so none arrive).
     pub fn record(&mut self, fact: FactId, edge: Edge) {
-        let slot = match fact {
-            FactId::Input(v) => &mut self.input[v as usize],
-            FactId::Storage(v) => &mut self.storage[v as usize],
-            FactId::Slot(k) => {
-                self.slots.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::MappingTaint(k) => {
-                self.mappings.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::Writable(k) => {
-                self.writable.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::AllSlots => &mut self.all_slots,
-            FactId::UnknownStore => &mut self.unknown_store,
-            FactId::Defeated(g) => &mut self.defeated[g],
-            FactId::Reach(b) => &mut self.reach[b as usize],
-            FactId::Sender(_) => return, // static axiom
-            FactId::Origin(v) => &mut self.origin[v as usize],
-            FactId::Time(v) => &mut self.time[v as usize],
-        };
-        if slot.is_none() {
-            *slot = Some(edge);
+        if let Entry::Vacant(slot) = self.edges.entry(fact) {
+            slot.insert(edge);
+            #[cfg(test)]
+            self.order.push(fact);
         }
     }
 
     /// The first-derivation edge of `fact`, if it was derived (axioms
     /// and never-derived facts return `None`).
     pub fn get(&self, fact: FactId) -> Option<&Edge> {
-        match fact {
-            FactId::Input(v) => self.input.get(v as usize)?.as_ref(),
-            FactId::Storage(v) => self.storage.get(v as usize)?.as_ref(),
-            FactId::Slot(k) => self.slots.get(&k),
-            FactId::MappingTaint(k) => self.mappings.get(&k),
-            FactId::Writable(k) => self.writable.get(&k),
-            FactId::AllSlots => self.all_slots.as_ref(),
-            FactId::UnknownStore => self.unknown_store.as_ref(),
-            FactId::Defeated(g) => self.defeated.get(g)?.as_ref(),
-            FactId::Reach(b) => self.reach.get(b as usize)?.as_ref(),
-            FactId::Sender(_) => None,
-            FactId::Origin(v) => self.origin.get(v as usize)?.as_ref(),
-            FactId::Time(v) => self.time.get(v as usize)?.as_ref(),
-        }
+        self.edges.get(&fact)
     }
 }

@@ -36,13 +36,15 @@ pub mod artifacts;
 pub mod config;
 mod engine;
 pub mod formalism;
+#[doc(hidden)]
+pub mod reference;
 pub mod report;
 pub mod timing;
 pub mod witness;
 
 pub use analysis::{analyze, with_deadline};
 pub use artifacts::AnalysisArtifacts;
-pub use config::{Config, Engine, StorageModel};
+pub use config::{Config, StorageModel};
 pub use report::{FactCounts, Finding, Report, Stats, Vuln};
 pub use timing::{PhaseTimer, PhaseTimings};
 pub use witness::{Witness, WitnessStep};

@@ -142,10 +142,10 @@ pub struct Stats {
     pub blocks: usize,
     /// TAC statements analyzed (after IR passes, when enabled).
     pub stmts: usize,
-    /// Convergence effort: outer re-scan passes for the dense engine,
-    /// 1 + guard-defeat waves for the sparse engine. Engine-dependent by
-    /// nature (unlike [`Stats::facts`], which both engines must agree
-    /// on exactly).
+    /// Convergence effort: 1 + guard-defeat waves of the sparse engine
+    /// (the dense reference oracle counts re-scan passes instead).
+    /// Engine-dependent by nature, unlike [`Stats::facts`], on which
+    /// both engines must agree exactly.
     pub rounds: usize,
     /// Per-relation fact counts at the fixpoint.
     pub facts: FactCounts,

@@ -7,7 +7,7 @@
 //! `Status::Analyzed` JSONL records. Timings are *observability, not
 //! verdicts*: `crates/store` strips them from cache entries and
 //! `merged.jsonl` so deterministic outputs stay byte-comparable across
-//! machines and engines (see `store::checkpoint::VerdictRecord`).
+//! machines and runs (see `store::checkpoint::VerdictRecord`).
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -26,12 +26,13 @@ use std::time::Instant;
 ///    constants, `DS`/`DSA`, guard discovery, and the sparse engine's
 ///    edge maps;
 /// 5. `fixpoint` — the mutually-recursive taint/guard-defeat fixpoint
-///    (the engine-dependent hot path the `BENCH_fixpoint.json`
-///    trajectory tracks);
+///    (the hot path the `BENCH_fixpoint.json` trajectory tracks),
+///    including provenance recording when
+///    [`Config::witness`](crate::Config) is on;
 /// 6. `sink_scan` — detectors, the tainted-owner sink scan, and the
 ///    composite-marker pass;
-/// 7. `witness` — the provenance replay + source→sink path
-///    reconstruction, when [`Config::witness`](crate::Config) is on.
+/// 7. `witness` — source→sink path reconstruction from the recorded
+///    provenance, when witnesses are on.
 ///
 /// The `sink_scan` phase additionally carries a three-way breakdown —
 /// `detectors_us` (the per-opcode sink sweeps), `effects_us` (the
@@ -85,7 +86,8 @@ pub struct PhaseTimings {
     /// exact composite (✰) markers, µs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub composite_us: Option<u64>,
-    /// Provenance replay + witness path reconstruction, µs.
+    /// Witness path reconstruction from the recorded provenance, µs
+    /// (the recording itself is part of `fixpoint_us`).
     #[serde(default)]
     pub witness_us: u64,
     /// Sum of all phases, stamped by [`PhaseTimings::stamp_total`].

@@ -1,10 +1,11 @@
 //! Taint-provenance witnesses: replaying a verdict into a concrete
 //! source→sink path through the TAC IR.
 //!
-//! When [`Config::witness`](crate::Config) is on, the analysis re-runs
-//! the **dense** fixpoint with a first-derivation recorder attached
-//! (see `engine::provenance`) and, for every finding, backtracks from
-//! the sink's seed facts through the derivation DAG to the axioms —
+//! When [`Config::witness`](crate::Config) is on, the production
+//! fixpoint records the first derivation of every fact as it derives it
+//! (see `engine::provenance`), and for every finding this module
+//! backtracks from the sink's seed facts through the derivation DAG to
+//! the axioms —
 //! CALLDATALOAD sources, `msg.sender`, and unguarded blocks. The result
 //! is a [`Witness`]: an ordered list of [`WitnessStep`]s where every
 //! step's prerequisites appear before it and the last step is the sink
@@ -12,11 +13,11 @@
 //! driver attaches them to `Status::Analyzed` records (and the store
 //! strips them from cache entries and `merged.jsonl`, like timings).
 //!
-//! Witnesses are **deterministic**: the dense replay visits statements,
-//! guards, and blocks in a fixed order, so the same (bytecode, config)
-//! pair yields a byte-identical witness regardless of the production
-//! engine or cache temperature. The determinism suite in `crates/bench`
-//! holds this across engines and runs.
+//! Witnesses are **deterministic**: the worklist engine's evaluation
+//! order is a function of the program alone, so the same (bytecode,
+//! config) pair yields a byte-identical witness on every run, on every
+//! thread, at any cache temperature. The determinism suite in
+//! `crates/bench` holds this across repeated and concurrent runs.
 
 use crate::engine::provenance::{Edge, FactId, Provenance};
 use crate::engine::{Prepared, State};
@@ -69,9 +70,11 @@ fn fact_text(fact: FactId, prep: &Prepared<'_>) -> String {
     match fact {
         FactId::Input(v) => format!("v{v} input-tainted"),
         FactId::Storage(v) => format!("v{v} storage-tainted"),
-        FactId::Slot(k) => format!("slot {k:?} tainted"),
-        FactId::MappingTaint(k) => format!("mapping {k:?} tainted"),
-        FactId::Writable(k) => format!("mapping {k:?} attacker-writable"),
+        FactId::Slot(a) => format!("slot {:?} tainted", prep.slots.resolve(a)),
+        FactId::MappingTaint(a) => format!("mapping {:?} tainted", prep.slots.resolve(a)),
+        FactId::Writable(a) => {
+            format!("mapping {:?} attacker-writable", prep.slots.resolve(a))
+        }
         FactId::AllSlots => "all storage slots tainted".to_string(),
         FactId::UnknownStore => "unresolved storage write tainted".to_string(),
         FactId::Defeated(g) => {
@@ -244,10 +247,9 @@ fn seeds(f: &Finding, prep: &Prepared<'_>, st: &State) -> Vec<FactId> {
 
 /// Builds a witness for every finding from the recorded provenance.
 ///
-/// `st` must be the state of the recording replay (it seeds fact
-/// selection); findings whose seed facts did not reproduce in the
-/// replay (never, for a deterministic analysis) still get a witness
-/// with just the sink step.
+/// `st` must be the final state of the recording fixpoint (it seeds
+/// fact selection); a finding whose seed facts carry no recorded
+/// derivation still gets a witness, with axiom steps and the sink.
 pub(crate) fn build(
     findings: &[Finding],
     prep: &Prepared<'_>,

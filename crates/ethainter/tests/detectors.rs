@@ -595,35 +595,29 @@ fn v2_verdicts_identical_across_engines() {
         TIMESTAMP_PAYOUT,
         BLOCKNUMBER_PAYOUT,
     ] {
-        let dense = analyze_with(
-            src,
-            &Config { engine: ethainter::Engine::Dense, ..Config::default() },
-        );
-        let sparse = analyze_with(
-            src,
-            &Config { engine: ethainter::Engine::Sparse, ..Config::default() },
-        );
+        let compiled = minisol::compile_source(src).unwrap();
+        let mut p = decompiler::decompile(&compiled.bytecode);
+        decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+        let dense = ethainter::reference::analyze(&p, &Config::default());
+        let sparse = ethainter::analyze(&p, &Config::default());
         assert_eq!(dense.findings, sparse.findings, "engines disagree on {src}");
         assert_eq!(dense.stats.facts, sparse.stats.facts, "fact counts differ on {src}");
     }
 }
 
 #[test]
-fn v2_witnesses_byte_identical_across_engines() {
+fn v2_witnesses_byte_identical_across_runs() {
     for src in [REENTRANT_BANK, UNCHECKED_SEND, TXORIGIN_AUTH, TIMESTAMP_PAYOUT] {
-        let mk = |engine| {
-            let cfg = Config { engine, witness: true, ..Config::default() };
-            analyze_with(src, &cfg)
-        };
-        let dense = mk(ethainter::Engine::Dense);
-        let sparse = mk(ethainter::Engine::Sparse);
+        let cfg = Config { witness: true, ..Config::default() };
+        let first = analyze_with(src, &cfg);
+        let again = analyze_with(src, &cfg);
         assert!(
-            dense.witnesses.as_ref().is_some_and(|w| !w.is_empty()),
+            first.witnesses.as_ref().is_some_and(|w| !w.is_empty()),
             "no witnesses for {src}"
         );
         assert_eq!(
-            serde_json::to_string(&dense.witnesses).unwrap(),
-            serde_json::to_string(&sparse.witnesses).unwrap(),
+            serde_json::to_string(&first.witnesses).unwrap(),
+            serde_json::to_string(&again.witnesses).unwrap(),
             "witnesses differ on {src}"
         );
     }

@@ -9,9 +9,10 @@
 //! processes the defeat it must flip exactly the guarded region's
 //! `ReachableByAttacker` bits and reschedule those statements — a bug
 //! here produces no panic, just a quietly missing finding, which is why
-//! the dense engine is run alongside as the oracle.
+//! the dense reference engine (`ethainter::reference`) is run alongside
+//! as the oracle.
 
-use ethainter::{Config, Engine, Report, Vuln};
+use ethainter::{Config, Report, Vuln};
 
 const TAKEOVER: &str = r#"contract Takeover {
     address owner;
@@ -22,15 +23,18 @@ const TAKEOVER: &str = r#"contract Takeover {
     }
 }"#;
 
-fn analyze_with(engine: Engine) -> Report {
+/// The contract's optimized program, analyzed by the production engine
+/// and by the reference oracle under `cfg`: `(dense, sparse)`.
+fn analyze_both(cfg: &Config) -> (Report, Report) {
     let compiled = minisol::compile_source(TAKEOVER).unwrap();
-    ethainter::analyze_bytecode(&compiled.bytecode, &Config { engine, ..Config::default() })
+    let mut p = decompiler::decompile(&compiled.bytecode);
+    decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    (ethainter::reference::analyze(&p, cfg), ethainter::analyze(&p, cfg))
 }
 
 #[test]
 fn guard_defeat_mid_fixpoint_repushes_the_guarded_region() {
-    let dense = analyze_with(Engine::Dense);
-    let sparse = analyze_with(Engine::Sparse);
+    let (dense, sparse) = analyze_both(&Config::default());
 
     // The scenario must actually exercise the path: a guard is
     // defeated, and the finding lives *behind* that guard.
@@ -57,16 +61,7 @@ fn guard_defeat_mid_fixpoint_repushes_the_guarded_region() {
 /// like the dense one.
 #[test]
 fn frozen_guards_suppress_the_defeat_in_both_engines() {
-    let compiled = minisol::compile_source(TAKEOVER).unwrap();
-    let frozen = Config { freeze_guards: true, ..Config::default() };
-    let dense = ethainter::analyze_bytecode(
-        &compiled.bytecode,
-        &Config { engine: Engine::Dense, ..frozen },
-    );
-    let sparse = ethainter::analyze_bytecode(
-        &compiled.bytecode,
-        &Config { engine: Engine::Sparse, ..frozen },
-    );
+    let (dense, sparse) = analyze_both(&Config { freeze_guards: true, ..Config::default() });
     assert!(sparse.defeated_guards.is_empty());
     assert!(!sparse.has(Vuln::AccessibleSelfDestruct));
     assert_eq!(sparse.findings, dense.findings);

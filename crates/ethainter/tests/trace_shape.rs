@@ -4,12 +4,13 @@
 //! has analyzed before.
 //!
 //! This is the observability counterpart of the verdict byte-identity
-//! guarantees: if the dense and sparse engines claim identical
-//! verdicts, their phase structure must be identical too, or the trace
-//! route would leak engine internals into what operators treat as the
-//! pipeline's stable anatomy.
+//! guarantees: if the production engine and the dense reference oracle
+//! (`ethainter::reference`) claim identical verdicts, their phase
+//! structure must be identical too, or the trace route would leak
+//! engine internals into what operators treat as the pipeline's stable
+//! anatomy.
 
-use ethainter::{Config, Engine};
+use ethainter::Config;
 use std::sync::Mutex;
 use telemetry::trace::{self, SpanNode};
 
@@ -56,12 +57,18 @@ fn shape(nodes: &[SpanNode]) -> String {
 /// Analyzes `bytecode` under a fresh retained trace and returns the
 /// resulting span-tree shape.
 fn traced_shape(bytecode: &[u8], cfg: &Config) -> String {
+    shape_of(|| drop(ethainter::analyze_bytecode(bytecode, cfg)))
+}
+
+/// Runs `analysis` under a fresh retained trace and returns the
+/// resulting span-tree shape.
+fn shape_of(analysis: impl FnOnce()) -> String {
     let id = trace::mint();
     trace::retain(id);
     {
         let _ctx = trace::root(id);
         let sp = telemetry::span("ethainter.contract");
-        let _report = ethainter::analyze_bytecode(bytecode, cfg);
+        analysis();
         sp.finish_us();
     }
     let records = trace::spans_for(id).expect("trace was retained");
@@ -78,10 +85,9 @@ fn span_tree_shape_is_identical_across_engines_and_runs() {
     let _g = serial();
     let code = minisol::compile_source(SOURCE).expect("compiles").bytecode;
 
-    let sparse = Config { engine: Engine::Sparse, ..Config::default() };
-    let dense = Config { engine: Engine::Dense, ..Config::default() };
+    let cfg = Config::default();
 
-    let first = traced_shape(&code, &sparse);
+    let first = traced_shape(&code, &cfg);
     assert!(first.contains("ethainter.decompile"), "shape lists phases: {first}");
     assert!(first.contains("ethainter.index_build"), "{first}");
     assert!(first.contains("ethainter.fixpoint"), "{first}");
@@ -94,10 +100,17 @@ fn span_tree_shape_is_identical_across_engines_and_runs() {
     );
 
     // Repeated runs: the same engine yields the same anatomy.
-    assert_eq!(traced_shape(&code, &sparse), first, "sparse is repeatable");
-    // Engine swap: dense walks the same phases in the same nesting.
-    assert_eq!(traced_shape(&code, &dense), first, "dense matches sparse");
-    assert_eq!(traced_shape(&code, &dense), first, "dense is repeatable");
+    assert_eq!(traced_shape(&code, &cfg), first, "sparse is repeatable");
+    // Engine swap: the reference oracle walks the same analysis phases
+    // in the same nesting over the same prepared program.
+    let mut p = decompiler::decompile(&code);
+    decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    let sparse = shape_of(|| drop(ethainter::analyze(&p, &cfg)));
+    let dense = shape_of(|| drop(ethainter::reference::analyze(&p, &cfg)));
+    let analysis_phases = &sparse[sparse.find('(').unwrap() + 1..];
+    assert!(first.ends_with(analysis_phases), "{first} vs {sparse}");
+    assert_eq!(dense, sparse, "dense matches sparse");
+    assert_eq!(shape_of(|| drop(ethainter::reference::analyze(&p, &cfg))), dense);
 }
 
 #[test]

@@ -104,3 +104,19 @@ fn timings_keep_the_total_invariant_and_time_the_witness_phase() {
     // decompile is always nonzero wall-clock on a real contract.
     assert!(t.decompile_us > 0 || t.fixpoint_us > 0 || t.total_us > 0);
 }
+
+/// The `Bad` contract's witnesses (the crate's doc example), pinned
+/// byte-for-byte: any change to how provenance is recorded shows up as
+/// a diff of the golden file. Regenerate it with
+/// `UPDATE_GOLDEN=1 cargo test -p ethainter --test witnesses`.
+#[test]
+fn bad_contract_witnesses_match_the_golden_file() {
+    let r = analyze_with(BAD, &Config { witness: true, ..Config::default() });
+    let got = serde_json::to_string_pretty(&r.witnesses).unwrap() + "\n";
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/bad_witnesses.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).unwrap();
+    }
+    let want = std::fs::read_to_string(path).expect("golden file exists");
+    assert_eq!(got, want, "witnesses drifted from {path}");
+}

@@ -49,10 +49,6 @@ pub struct ConfigPatch {
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
     pub witness: Option<bool>,
-    /// Fixpoint evaluator: `"dense"` or `"sparse"` (`--engine`).
-    #[serde(default)]
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub engine: Option<String>,
 }
 
 impl ConfigPatch {
@@ -70,9 +66,6 @@ impl ConfigPatch {
         }
         if let Some(w) = self.witness {
             cfg.witness = w;
-        }
-        if let Some(e) = &self.engine {
-            cfg.engine = ethainter::Engine::parse(e)?;
         }
         Ok(cfg)
     }
@@ -227,20 +220,23 @@ mod tests {
         assert!(min.id.is_none() && min.config.is_none());
 
         let full: JobRequest = serde_json::from_str(
-            r#"{"bytecode":"00","id":"c1","config":{"guards":false,"engine":"dense","witness":true}}"#,
+            r#"{"bytecode":"00","id":"c1","config":{"guards":false,"witness":true}}"#,
         )
         .unwrap();
         assert_eq!(full.id.as_deref(), Some("c1"));
         let cfg = full.config.unwrap().apply(&ethainter::Config::default()).unwrap();
         assert!(!cfg.guard_modeling);
         assert!(cfg.witness);
-        assert_eq!(cfg.engine, ethainter::Engine::Dense);
     }
 
     #[test]
-    fn bad_engine_is_rejected() {
-        let patch = ConfigPatch { engine: Some("quantum".into()), ..Default::default() };
-        assert!(patch.apply(&ethainter::Config::default()).is_err());
+    fn retired_engine_key_is_ignored() {
+        // Clients written against the two-engine daemon still parse: the
+        // `engine` key is unknown now and ignored.
+        let req: JobRequest =
+            serde_json::from_str(r#"{"bytecode":"00","config":{"engine":"dense"}}"#).unwrap();
+        let cfg = req.config.unwrap().apply(&ethainter::Config::default()).unwrap();
+        assert_eq!(cfg, ethainter::Config::default());
     }
 
     #[test]

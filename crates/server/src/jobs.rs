@@ -120,9 +120,14 @@ struct Inner {
     completed_total: u64,
 }
 
-/// The id allocator + job table shared by acceptors and workers.
+/// Job ids are allocated from one counter for the whole process: the
+/// per-trace span store is process-global, so a second server in the
+/// same process (tests, embedders running several daemons) must never
+/// reuse an id whose spans an earlier server left behind.
+static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The job table shared by acceptors and workers.
 pub struct Registry {
-    next: AtomicU64,
     max_done: usize,
     inner: Mutex<Inner>,
 }
@@ -137,11 +142,10 @@ impl Registry {
     /// Default bound on retained `Done` records (`--max-done`).
     pub const DEFAULT_MAX_DONE: usize = 4096;
 
-    /// An empty registry starting at id 1, retaining at most
-    /// `max_done` completed records (min 1).
+    /// An empty registry retaining at most `max_done` completed
+    /// records (min 1). Its ids continue the process-wide sequence.
     pub fn new(max_done: usize) -> Registry {
         Registry {
-            next: AtomicU64::new(1),
             max_done: max_done.max(1),
             inner: Mutex::default(),
         }
@@ -153,7 +157,7 @@ impl Registry {
 
     /// Allocates an id and records the job as queued.
     pub fn create(&self) -> JobId {
-        let id = JobId(self.next.fetch_add(1, Ordering::Relaxed));
+        let id = JobId(NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed));
         self.lock().jobs.insert(
             id.0,
             JobRecord { id, state: JobState::Queued, submitted: Instant::now() },

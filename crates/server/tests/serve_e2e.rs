@@ -76,7 +76,7 @@ fn eight_concurrent_clients_mixed_warm_cold() {
     let reference: Vec<String> = batch
         .outcomes
         .iter()
-        .map(|o| serde_json::to_string(&o.status.without_timings()).unwrap())
+        .map(|o| serde_json::to_string(&o.status.verdict_only()).unwrap())
         .collect();
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -116,7 +116,7 @@ fn eight_concurrent_clients_mixed_warm_cold() {
             total += 1;
             assert_eq!(done.state, "done");
             let report = done.report.expect("done jobs carry the full report");
-            let got = serde_json::to_string(&report.status.without_timings()).unwrap();
+            let got = serde_json::to_string(&report.status.verdict_only()).unwrap();
             assert_eq!(
                 got, reference[which],
                 "serve verdict for contract {which} must be byte-identical to batch"

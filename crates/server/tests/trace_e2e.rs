@@ -432,3 +432,35 @@ fn events_feed_serves_lifecycle_long_poll_and_slow_jobs() {
     let report = handle.shutdown();
     assert!(report.drained_cleanly);
 }
+
+/// Job ids come from one process-wide sequence: the trace store is
+/// global to the process, so a second server must not restart at id 1
+/// and inherit the spans (and `server.job` root) an earlier server left
+/// under that id.
+#[test]
+fn servers_started_one_after_another_never_share_a_job_trace() {
+    let _serial = lock_serial();
+    let code = &composite_contracts(1)[0];
+    let mut ids = Vec::new();
+    for round in 0..2 {
+        let handle = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = handle.addr().to_string();
+        let accepted = submit(&addr, code, &format!("sequential-{round}"));
+        let done = client::await_job(&addr, &accepted.id, Duration::from_secs(60)).unwrap();
+        assert_eq!(done.state, "done");
+        let resp =
+            client::request(&addr, "GET", &format!("/jobs/{}/trace", accepted.id), None).unwrap();
+        assert_eq!(resp.status, 200, "trace route must answer: {}", resp.body);
+        let trace: api::TraceBody = serde_json::from_str(&resp.body).unwrap();
+        assert_eq!(trace.spans.len(), 1, "server {round}: one root per job trace");
+        assert_eq!(trace.spans[0].name, "server.job");
+        ids.push(accepted.id);
+        assert!(handle.shutdown().drained_cleanly);
+    }
+    assert_ne!(ids[0], ids[1], "a later server must not reuse an earlier server's job id");
+}

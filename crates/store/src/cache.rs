@@ -230,7 +230,7 @@ impl ResultStore {
         // analyzer version): strip the wall-clock phase timings so the
         // segment bytes — and every warm replay — are deterministic.
         let result = CachedResult {
-            status: result.status.without_timings(),
+            status: result.status.verdict_only(),
             elapsed_ms: result.elapsed_ms,
         };
         let record = SegmentRecord {
@@ -358,7 +358,7 @@ mod tests {
             composite: 0,
             blocks: 2,
             stmts: 5,
-            rounds: 1,
+            rounds: 0, // cached statuses are verdict projections
             facts: FactCounts::default(),
             lint: Vec::new(),
             timings: ethainter::PhaseTimings::default(),

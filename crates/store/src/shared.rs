@@ -188,7 +188,7 @@ mod tests {
             composite: 0,
             blocks: 1,
             stmts: 1,
-            rounds: 1,
+            rounds: 0, // cached statuses are verdict projections
             facts: ethainter::FactCounts::default(),
             lint: Vec::new(),
             timings: ethainter::PhaseTimings::default(),

@@ -4,7 +4,7 @@
 //! key, so no stale verdict can ever be replayed for a config it was
 //! not computed under.
 
-use ethainter::{Config, Engine, StorageModel};
+use ethainter::{Config, StorageModel};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use store::cache_key;
@@ -18,9 +18,8 @@ fn arb_config() -> impl Strategy<Value = Config> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(|(guards, storage, conservative, freeze, opt, range, sparse, witness)| Config {
+        .prop_map(|(guards, storage, conservative, freeze, opt, range, witness)| Config {
             guard_modeling: guards,
             storage_taint: storage,
             storage_model: if conservative {
@@ -31,7 +30,6 @@ fn arb_config() -> impl Strategy<Value = Config> {
             freeze_guards: freeze,
             optimize_ir: opt,
             range_guards: range,
-            engine: if sparse { Engine::Sparse } else { Engine::Dense },
             witness,
         })
 }
@@ -121,27 +119,7 @@ proptest! {
         prop_assert_ne!(cache_key(&extended, &cfg), base);
     }
 
-    /// The one deliberate *insensitivity*: the fixpoint engine cannot
-    /// change verdicts (differential guarantee), so flipping it must NOT
-    /// move the key — a cache populated under one engine stays warm
-    /// after `--engine dense` ⇄ `--engine sparse`.
-    #[test]
-    fn engine_flip_keeps_the_key(
-        code in vec(any::<u8>(), 0..256),
-        cfg in arb_config(),
-    ) {
-        let other = Config {
-            engine: match cfg.engine {
-                Engine::Dense => Engine::Sparse,
-                Engine::Sparse => Engine::Dense,
-            },
-            ..cfg
-        };
-        prop_assert_eq!(cache_key(&code, &other), cache_key(&code, &cfg));
-        prop_assert_eq!(other.fingerprint(), cfg.fingerprint());
-    }
-
-    /// The other deliberate insensitivity: `witness` only attaches
+    /// The one deliberate insensitivity: `witness` only attaches
     /// provenance riders (which the store strips before persisting
     /// anything), so flipping it must NOT move the key — a cache
     /// populated without witnesses stays warm when `--witness` turns on.

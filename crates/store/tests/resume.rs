@@ -147,48 +147,6 @@ fn reopened_cache_survives_process_restart() {
 }
 
 #[test]
-fn warm_hits_survive_engine_switch() {
-    // `Config::fingerprint()` deliberately excludes `engine`: the dense
-    // and sparse fixpoint engines are differentially guaranteed to
-    // produce identical verdicts, so a cache populated under one must
-    // stay warm under the other (`--engine dense` ⇄ `--engine sparse`
-    // never re-analyzes an unchanged corpus).
-    let dense = ethainter::Config { engine: ethainter::Engine::Dense, ..Default::default() };
-    let sparse = ethainter::Config { engine: ethainter::Engine::Sparse, ..Default::default() };
-    let pop = PopulationConfig { size: 40, seed: 0xE1417, ..PopulationConfig::default() };
-    let src = || store::CorpusSource::new(pop);
-
-    let cache_dir = tmp_dir("engine-cache");
-    let mut cache = ResultStore::open(&cache_dir).unwrap();
-
-    // Populate under the dense engine.
-    let dense_dir = tmp_dir("engine-dense");
-    let mut cp = Checkpoint::create(&dense_dir, Manifest::new(&dense, src().descriptor())).unwrap();
-    let cold = Scanner { analysis: dense, ..scanner(Some(&mut cache)) }
-        .scan(src(), &mut cp, |_| {}, |_| {})
-        .unwrap();
-    assert_eq!(cold.fresh, 40);
-    assert_eq!(cold.cache_hits, 0);
-    let dense_verdicts = cp.merged_verdicts_jsonl();
-
-    // Re-scan under the sparse engine: zero fresh analyses, and the
-    // replayed verdicts are byte-identical.
-    let sparse_dir = tmp_dir("engine-sparse");
-    let mut cp =
-        Checkpoint::create(&sparse_dir, Manifest::new(&sparse, src().descriptor())).unwrap();
-    let warm = Scanner { analysis: sparse, ..scanner(Some(&mut cache)) }
-        .scan(src(), &mut cp, |_| {}, |_| {})
-        .unwrap();
-    assert_eq!(warm.fresh, 0, "engine switch must not invalidate the cache");
-    assert_eq!(warm.cache_hits, 40);
-    assert_eq!(cp.merged_verdicts_jsonl(), dense_verdicts);
-
-    for d in [cache_dir, dense_dir, sparse_dir] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
-}
-
-#[test]
 fn witness_mode_changes_no_persistent_artifact() {
     // `--witness` attaches provenance riders to live outcomes, but the
     // store strips them (with the timings) before anything persistent:
