@@ -9,10 +9,10 @@
 //! dominators for guard inference.
 //!
 //! The [`passes`] module adds a static-analysis layer over the emitted
-//! TAC: a generic worklist dataflow engine, constant propagation and
-//! dead-code elimination (run by the analysis before its fixpoint),
-//! interval analysis for branch pruning, per-function storage summaries,
-//! and an IR well-formedness validator.
+//! TAC: def-use worklist constant propagation and mark-sweep dead-code
+//! elimination (run by the analysis before its fixpoint), interval
+//! analysis for branch pruning, per-function storage summaries, and an
+//! IR well-formedness validator.
 //!
 //! # Examples
 //!

@@ -162,10 +162,9 @@ pub fn block_positions(p: &Program) -> Vec<u32> {
 }
 
 /// Summarizes effect sites for every discovered public function and the
-/// program as a whole.
-pub fn summarize(p: &Program) -> EffectSummary {
-    let consts = constprop::constants(p);
-    let du = DefUse::build(p);
+/// program as a whole. `du` must index `p`.
+pub fn summarize(p: &Program, du: &DefUse) -> EffectSummary {
+    let consts = constprop::constants(p, du);
 
     // Resolve a storage key through unique-def Copy/Hash2 chains (the
     // same discipline as `storage::summarize`): a block parameter fed
@@ -336,7 +335,7 @@ mod tests {
                 function bump() public { nonce = nonce + 1; }
             }"#,
         );
-        let sum = summarize(&p);
+        let sum = summarize(&p, &DefUse::build(&p));
         assert_eq!(sum.calls.len(), 1);
         assert!(sum.calls[0].checked, "require(send(..)) checks the flag");
         assert!(sum.writes.iter().any(|w| w.key == SlotKey::Slot(U256::ZERO)));
@@ -354,7 +353,7 @@ mod tests {
                 function pay(address to, uint amount) public { send(to, amount); }
             }"#,
         );
-        let sum = summarize(&p);
+        let sum = summarize(&p, &DefUse::build(&p));
         assert_eq!(sum.calls.len(), 1);
         assert!(!sum.calls[0].checked, "bare send never constrains anything");
     }
@@ -373,7 +372,7 @@ mod tests {
                 }
             }"#,
         );
-        let sum = summarize(&p);
+        let sum = summarize(&p, &DefUse::build(&p));
         let dom = Dominators::compute(&p);
         let viol = reordered_writes(&p, &dom, &sum);
         assert!(
@@ -396,7 +395,7 @@ mod tests {
                 }
             }"#,
         );
-        let sum = summarize(&p);
+        let sum = summarize(&p, &DefUse::build(&p));
         let dom = Dominators::compute(&p);
         let viol = reordered_writes(&p, &dom, &sum);
         assert!(viol.is_empty(), "write precedes the call, got {viol:?}");

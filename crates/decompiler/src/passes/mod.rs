@@ -5,12 +5,11 @@
 //! (quadratic-ish) taint/guard analysis sees fewer statements and more
 //! constants. The module tree:
 //!
-//! * [`dataflow`] — a generic worklist engine (forward/backward) over a
-//!   small lattice trait; the substrate the other passes build on.
-//! * [`liveness`] — backward live-variable analysis and dead-code
-//!   elimination (pure defs nobody reads, unused block parameters).
 //! * [`constprop`] — cross-block constant propagation with a full EVM
-//!   fold table; rewrites provably-constant computations to `Const`.
+//!   fold table, as a def-use worklist; rewrites provably-constant
+//!   computations to `Const`.
+//! * [`dce`] — mark-sweep dead-code elimination from the effectful
+//!   statements (pure defs nobody needs, unused block parameters).
 //! * [`intervals`] — unsigned value-range analysis; proves `JumpI`
 //!   edges dead so the analysis can prune unreachable guard regions.
 //! * [`storage`] — per-public-function storage read/write summaries for
@@ -21,49 +20,37 @@
 //! * [`validate`] — the IR well-formedness linter, run at the end of
 //!   every debug-build decompilation and by `ethainter lint`.
 //!
-//! Entry point: [`optimize`] runs constprop and DCE to a joint fixpoint
-//! and reports [`PassStats`]; the analysis passes ([`intervals::analyze`],
-//! [`storage::summarize`], [`validate::validate`]) are pure queries
-//! callers invoke directly.
+//! Entry point: [`optimize`] builds one [`DefUse`] index, runs constprop
+//! and then DCE over it once each, and reports [`PassStats`]; the
+//! analysis passes ([`intervals::analyze`], [`storage::summarize`],
+//! [`validate::validate`]) are pure queries callers invoke directly.
 
 pub mod constprop;
-pub mod dataflow;
+pub mod dce;
 pub mod effects;
 pub mod intervals;
-pub mod liveness;
 pub mod storage;
 pub mod validate;
 
+use crate::defuse::DefUse;
 use crate::tac::Program;
 
-/// Which optimization passes [`optimize`] runs.
-#[derive(Clone, Copy, Debug)]
-pub struct PassConfig {
-    /// Rewrite provably-constant computations to `Const`.
-    pub constprop: bool,
-    /// Delete pure definitions nobody reads and unused block params.
-    pub dce: bool,
-}
-
-impl Default for PassConfig {
-    fn default() -> Self {
-        PassConfig { constprop: true, dce: true }
-    }
-}
+/// Configuration of [`optimize`]. It has no knobs: the pipeline always
+/// runs constant propagation and dead-code elimination.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PassConfig {}
 
 /// What the optimization pipeline did to a program.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Statement count before any pass ran.
     pub stmts_before: usize,
-    /// Statement count after the pipeline converged.
+    /// Statement count after the pipeline.
     pub stmts_after: usize,
     /// Statements rewritten to `Const` by constant propagation.
     pub folded: usize,
     /// Statements deleted by dead-code elimination.
     pub removed: usize,
-    /// constprop→DCE rounds until nothing changed.
-    pub rounds: usize,
 }
 
 impl PassStats {
@@ -77,35 +64,21 @@ impl PassStats {
     }
 }
 
-/// Runs the enabled optimization passes to a joint fixpoint: folding
-/// constants exposes dead operand chains, and deleting them can expose
-/// further agreement among block-parameter bindings, so the two
-/// alternate until neither makes progress.
+/// Folds constants, then deletes dead code, once each. One round is the
+/// fixpoint: DCE only drops a block parameter together with all of its
+/// bindings, so it never changes the definitions of a variable that
+/// survives, and a second constprop would find nothing new.
 ///
 /// Incomplete programs (budget cutoffs) are left untouched — their IR
 /// legitimately violates the invariants DCE relies on.
-pub fn optimize(p: &mut Program, cfg: &PassConfig) -> PassStats {
+pub fn optimize(p: &mut Program, _cfg: &PassConfig) -> PassStats {
     let mut stats = PassStats { stmts_before: p.len(), stmts_after: p.len(), ..Default::default() };
-    if p.incomplete || (!cfg.constprop && !cfg.dce) {
+    if p.incomplete {
         return stats;
     }
-    loop {
-        let mut progressed = false;
-        if cfg.constprop {
-            let folded = constprop::propagate(p);
-            stats.folded += folded;
-            progressed |= folded > 0;
-        }
-        if cfg.dce {
-            let removed = liveness::eliminate_dead_code(p);
-            stats.removed += removed;
-            progressed |= removed > 0;
-        }
-        stats.rounds += 1;
-        if !progressed || stats.rounds >= 16 {
-            break;
-        }
-    }
+    let du = DefUse::build(p);
+    stats.folded = constprop::propagate(p, &du);
+    stats.removed = dce::eliminate_dead_code(p, &du);
     stats.stmts_after = p.len();
     stats
 }

@@ -12,6 +12,7 @@
 //! function can possibly write a guard slot cannot have a tainted-owner
 //! flow, and the per-statement scan is skipped.
 
+use crate::defuse::DefUse;
 use crate::tac::{Op, Program};
 use evm::U256;
 
@@ -48,15 +49,9 @@ impl FunctionStorage {
 /// Summarizes storage accesses for every discovered public function.
 /// Statements in blocks not owned by any function (the dispatcher
 /// prologue, fallback paths) are attributed to every function, since
-/// every call traverses them.
-pub fn summarize(p: &Program) -> Vec<FunctionStorage> {
-    let consts = constprop::constants(p);
-    let mut defs: Vec<Vec<u32>> = vec![Vec::new(); p.n_vars as usize];
-    for s in p.iter_stmts() {
-        if let Some(d) = s.def {
-            defs[d.0 as usize].push(s.id.0);
-        }
-    }
+/// every call traverses them. `du` must index `p`.
+pub fn summarize(p: &Program, du: &DefUse) -> Vec<FunctionStorage> {
+    let consts = constprop::constants(p, du);
     // Resolve an access key: Some((slot/base, is_mapping)) or None.
     // Copy chains are followed only through unique defs; a block
     // parameter fed different hashes by different predecessors stays
@@ -67,8 +62,8 @@ pub fn summarize(p: &Program) -> Vec<FunctionStorage> {
         }
         let mut k = key;
         for _ in 0..16 {
-            let [d] = defs[k.0 as usize][..] else { return None };
-            let def = &p.stmts[d as usize];
+            let [d] = du.defs(k)[..] else { return None };
+            let def = p.stmt(d);
             match def.op {
                 Op::Copy => k = def.uses[0],
                 Op::Hash2 => {

@@ -1,12 +1,11 @@
-//! Tests for the static-analysis pass layer: the dataflow engine,
-//! DCE/constprop, interval analysis, storage summaries, and the IR
-//! validator — against both hand-built programs and real
-//! minisol-compiled bytecode.
+//! Tests for the static-analysis pass layer: DCE/constprop, interval
+//! analysis, storage summaries, and the IR validator — against both
+//! hand-built programs and real minisol-compiled bytecode.
 
-use decompiler::passes::dataflow::{solve, Analysis, Direction, Lattice, VarSet};
-use decompiler::passes::{constprop, intervals, liveness, storage, validate};
+use corpus::{Population, PopulationConfig, Scale};
+use decompiler::passes::{constprop, dce, intervals, storage, validate};
 use decompiler::tac::{Block, BlockId, Op, Program, PublicFunction, Stmt, StmtId, Var};
-use decompiler::{decompile, optimize, PassConfig};
+use decompiler::{decompile, optimize, DefUse, PassConfig};
 use evm::opcode::Opcode;
 use evm::{selector, U256};
 
@@ -58,63 +57,19 @@ impl Prog {
     }
 }
 
-// ---- Dataflow engine -------------------------------------------------
-
-/// Forward "reached blocks" analysis: fact = set of block ids seen so
-/// far along any path (encoded in a VarSet keyed by block index).
-struct Reached;
-
-impl Analysis for Reached {
-    type Fact = VarSet;
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-    fn bottom(&self, p: &Program) -> VarSet {
-        VarSet::empty(p.blocks.len() as u32)
-    }
-    fn boundary(&self, p: &Program) -> VarSet {
-        VarSet::empty(p.blocks.len() as u32)
-    }
-    fn transfer(&self, _p: &Program, block: BlockId, fact: &mut VarSet) {
-        fact.insert(Var(block.0));
-    }
+/// Runs the DCE pass alone over a fresh def-use index.
+fn run_dce(p: &mut Program) -> usize {
+    let du = DefUse::build(p);
+    dce::eliminate_dead_code(p, &du)
 }
 
-#[test]
-fn forward_engine_accumulates_paths_through_a_loop() {
-    // 0 → 1 → 2 → 1 (loop), 1 → 3
-    let mut t = Prog::new(4);
-    t.edge(0, 1);
-    t.edge(1, 2);
-    t.edge(2, 1);
-    t.edge(1, 3);
-    let sol = solve(&t.p, &Reached);
-    // Block 3's input has seen 0, 1, and (via the loop) 2.
-    for b in [0u32, 1, 2] {
-        assert!(sol.input[3].contains(Var(b)), "block 3 input missing B{b}");
-    }
-    assert!(!sol.input[0].contains(Var(3)), "entry cannot have seen the exit");
+/// Runs constant propagation alone over a fresh def-use index.
+fn run_constprop(p: &mut Program) -> usize {
+    let du = DefUse::build(p);
+    constprop::propagate(p, &du)
 }
 
-#[test]
-fn varset_operations() {
-    let mut s = VarSet::empty(130);
-    assert!(s.is_empty());
-    assert!(s.insert(Var(0)));
-    assert!(s.insert(Var(129)));
-    assert!(!s.insert(Var(129)), "double insert must report no change");
-    assert_eq!(s.len(), 2);
-    assert!(s.contains(Var(129)) && !s.contains(Var(64)));
-    s.remove(Var(0));
-    assert!(!s.contains(Var(0)));
-    let mut t = VarSet::empty(130);
-    t.insert(Var(5));
-    assert!(t.join(&s), "union with new elements changes the set");
-    assert!(!t.join(&s), "re-union is a no-op");
-    assert!(t.contains(Var(129)) && t.contains(Var(5)));
-}
-
-// ---- Liveness + DCE --------------------------------------------------
+// ---- Dead-code elimination --------------------------------------------
 
 #[test]
 fn dce_removes_unused_pure_chain_and_keeps_effects() {
@@ -131,7 +86,7 @@ fn dce_removes_unused_pure_chain_and_keeps_effects() {
     t.stmt(0, Op::Const(U256::from(2u64)), Some(v), vec![]);
     t.stmt(0, Op::SStore, None, vec![k, v]); // effect: must survive
     t.stmt(0, Op::Stop, None, vec![]);
-    let removed = liveness::eliminate_dead_code(&mut t.p);
+    let removed = run_dce(&mut t.p);
     // a, b, c all die (a only fed the dead chain); k, v, SStore, Stop stay.
     assert_eq!(removed, 3);
     assert_eq!(t.p.stmts.len(), 4);
@@ -148,7 +103,7 @@ fn dce_keeps_unused_returndatasize() {
     let r = t.var();
     t.stmt(0, Op::Env(Opcode::ReturnDataSize), Some(r), vec![]);
     t.stmt(0, Op::Stop, None, vec![]);
-    let removed = liveness::eliminate_dead_code(&mut t.p);
+    let removed = run_dce(&mut t.p);
     assert_eq!(removed, 0);
     assert!(t.p.iter_stmts().any(|s| s.op == Op::Env(Opcode::ReturnDataSize)));
 }
@@ -172,26 +127,60 @@ fn dce_removes_dead_params_and_their_binding_copies() {
     t.stmt(1, Op::SStore, None, vec![k, p_used], );
     t.stmt(1, Op::Stop, None, vec![]);
 
-    let removed = liveness::eliminate_dead_code(&mut t.p);
+    let removed = run_dce(&mut t.p);
     // The dead param's Copy and the Caller feeding it both go.
     assert_eq!(removed, 2);
     assert_eq!(t.p.blocks[1].params, vec![p_used]);
     assert!(validate::validate(&t.p).is_empty());
 }
 
-#[test]
-fn liveness_propagates_across_blocks() {
-    let mut t = Prog::new(2);
-    let x = t.var();
-    let p = t.param(1);
-    t.stmt(0, Op::Env(Opcode::CallValue), Some(x), vec![]);
-    t.stmt(0, Op::Copy, Some(p), vec![x]);
+/// B0 → B1 (loop: `i' = i + 1`, back edge to B1) → B2. Returns the
+/// program and the loop counter `i`, a parameter of B1.
+fn counting_loop() -> (Prog, Var) {
+    let mut t = Prog::new(3);
+    let i0 = t.var();
+    let i = t.param(1);
+    let one = t.var();
+    let i2 = t.var();
+    let cond = t.var();
+    t.stmt(0, Op::Const(U256::ZERO), Some(i0), vec![]);
+    t.stmt(0, Op::Copy, Some(i), vec![i0]);
     t.stmt(0, Op::Jump, None, vec![]);
     t.edge(0, 1);
-    t.stmt(1, Op::SelfDestruct, None, vec![p]);
-    let sol = liveness::live_sets(&t.p);
-    // Backward: input[0] is B0's live-out, which must contain the param.
-    assert!(sol.input[0].contains(p), "param consumed downstream must be live out of B0");
+    t.stmt(1, Op::Const(U256::ONE), Some(one), vec![]);
+    t.stmt(1, Op::Bin(Opcode::Add), Some(i2), vec![i, one]);
+    t.stmt(1, Op::Copy, Some(i), vec![i2]);
+    t.stmt(1, Op::Env(Opcode::CallValue), Some(cond), vec![]);
+    t.stmt(1, Op::JumpI, None, vec![cond]);
+    t.edge(1, 1);
+    t.edge(1, 2);
+    (t, i)
+}
+
+#[test]
+fn dce_removes_dead_loop_carried_cycle() {
+    // The counter only feeds its own next value: no effect reads it, so
+    // the whole cycle (both bindings, the add, both constants) goes.
+    let (mut t, _) = counting_loop();
+    t.stmt(2, Op::Stop, None, vec![]);
+    let removed = run_dce(&mut t.p);
+    assert_eq!(removed, 5);
+    assert!(t.p.blocks[1].params.is_empty());
+    assert!(t.p.iter_stmts().all(|s| !matches!(s.op, Op::Copy | Op::Bin(_) | Op::Const(_))));
+    assert!(validate::validate(&t.p).is_empty(), "DCE broke IR invariants");
+}
+
+#[test]
+fn dce_keeps_loop_carried_cycle_read_by_sstore() {
+    let (mut t, i) = counting_loop();
+    let k = t.var();
+    t.stmt(2, Op::Const(U256::ZERO), Some(k), vec![]);
+    t.stmt(2, Op::SStore, None, vec![k, i]);
+    t.stmt(2, Op::Stop, None, vec![]);
+    let before = t.p.stmts.len();
+    assert_eq!(run_dce(&mut t.p), 0);
+    assert_eq!(t.p.stmts.len(), before);
+    assert_eq!(t.p.blocks[1].params, vec![i]);
 }
 
 // ---- Constant propagation -------------------------------------------
@@ -225,7 +214,7 @@ fn constprop_folds_across_block_params() {
     t.stmt(3, Op::SStore, None, vec![k, ten]);
     t.stmt(3, Op::Stop, None, vec![]);
 
-    let folded = constprop::propagate(&mut t.p);
+    let folded = run_constprop(&mut t.p);
     assert_eq!(folded, 1);
     let add = t.p.iter_stmts().find(|s| s.def == Some(ten)).unwrap();
     assert_eq!(add.op, Op::Const(U256::from(10u64)));
@@ -257,7 +246,7 @@ fn constprop_does_not_fold_disagreeing_params() {
     t.stmt(3, Op::Const(U256::ZERO), Some(k), vec![]);
     t.stmt(3, Op::SStore, None, vec![k, out]);
     t.stmt(3, Op::Stop, None, vec![]);
-    assert_eq!(constprop::propagate(&mut t.p), 0);
+    assert_eq!(run_constprop(&mut t.p), 0);
 }
 
 #[test]
@@ -275,7 +264,7 @@ fn constprop_extends_the_builder_fold_table() {
     t.stmt(0, Op::Const(U256::ZERO), Some(k), vec![]);
     t.stmt(0, Op::SStore, None, vec![k, m]);
     t.stmt(0, Op::Stop, None, vec![]);
-    assert_eq!(constprop::propagate(&mut t.p), 1);
+    assert_eq!(run_constprop(&mut t.p), 1);
     let s = t.p.iter_stmts().find(|s| s.def == Some(m)).unwrap();
     assert_eq!(s.op, Op::Const(U256::from(2u64)));
 }
@@ -372,7 +361,7 @@ fn storage_summaries_attribute_slots_to_functions() {
         }"#,
     );
     let p = decompile(&code);
-    let sums = storage::summarize(&p);
+    let sums = storage::summarize(&p, &DefUse::build(&p));
     let find = |s: u32| sums.iter().find(|f| f.selector == s).unwrap();
 
     let ra = find(sel("ra()"));
@@ -423,6 +412,27 @@ fn optimize_skips_incomplete_programs() {
     let stats = optimize(&mut p, &PassConfig::default());
     assert_eq!(p.len(), before);
     assert_eq!(stats.removed, 0);
+}
+
+#[test]
+fn optimize_is_idempotent_on_realistic_contracts() {
+    // One constprop + one DCE is the whole fixpoint: a second run over
+    // the optimized IR folds and removes nothing and leaves it as is.
+    let pop = Population::generate(&PopulationConfig {
+        size: 20,
+        seed: 7,
+        scale: Scale::Realistic,
+        ..Default::default()
+    });
+    for (i, c) in pop.contracts.iter().enumerate() {
+        let mut p = decompile(&c.bytecode);
+        let first = optimize(&mut p, &PassConfig::default());
+        let text = p.to_string();
+        let second = optimize(&mut p, &PassConfig::default());
+        let family = c.family;
+        assert_eq!((second.folded, second.removed), (0, 0), "{family}#{i}: {first:?}, {second:?}");
+        assert_eq!(p.to_string(), text, "{family}#{i}: second optimize changed the IR");
+    }
 }
 
 // ---- Validator -------------------------------------------------------

@@ -587,6 +587,9 @@ pub fn analyze_one(bytecode: &[u8], config: &ethainter::Config) -> Status {
     telemetry::metrics::counter("ethainter_findings_composite_total")
         .add(report.findings.iter().filter(|f| f.composite).count() as u64);
     telemetry::metrics::histogram("ethainter_phase_decompile_us").observe(decompile_us);
+    telemetry::metrics::histogram("ethainter_phase_passes_us").observe(passes_us);
+    telemetry::metrics::histogram("ethainter_phase_index_build_us")
+        .observe(timings.index_build_us);
     telemetry::metrics::histogram("ethainter_phase_fixpoint_us")
         .observe(timings.fixpoint_us);
     telemetry::metrics::histogram("ethainter_phase_sink_scan_us")
@@ -596,6 +599,7 @@ pub fn analyze_one(bytecode: &[u8], config: &ethainter::Config) -> Status {
         telemetry::metrics::histogram("ethainter_phase_effects_us").observe(effects_us);
         telemetry::metrics::histogram("ethainter_phase_composite_us").observe(composite_us);
     }
+    telemetry::metrics::histogram("ethainter_phase_witness_us").observe(timings.witness_us);
     telemetry::metrics::histogram("ethainter_phase_total_us").observe(timings.total_us);
     Status::Analyzed {
         findings: report.findings.len(),

@@ -176,7 +176,7 @@ impl Inner<'_> {
     pub(crate) fn storage_summaries(&self) -> &[storage::FunctionStorage] {
         self.storage_summaries.get_or_init(|| {
             telemetry::metrics::counter("ethainter_storage_summarize_total").inc();
-            storage::summarize(self.prep.ctx.p)
+            storage::summarize(self.prep.ctx.p, &self.prep.ctx.du)
         })
     }
 
@@ -185,7 +185,7 @@ impl Inner<'_> {
     pub(crate) fn effect_summary(&self) -> &effects::EffectSummary {
         self.effects.get_or_init(|| {
             telemetry::metrics::counter("ethainter_effects_summarize_total").inc();
-            effects::summarize(self.prep.ctx.p)
+            effects::summarize(self.prep.ctx.p, &self.prep.ctx.du)
         })
     }
 

@@ -59,10 +59,10 @@ pub const ANALYZER_VERSION: &str = concat!("ethainter-rs/", env!("CARGO_PKG_VERS
 
 /// Decompiles `bytecode` and runs the analysis — the end-to-end entry
 /// point used by the CLI, the scanner, and Ethainter-Kill. With the
-/// default config the decompiler's optimization passes (constant
-/// propagation + dead-code elimination) shrink the TAC before the
-/// fixpoint ever sees it; `config.optimize_ir = false` analyzes the raw
-/// decompiler output instead.
+/// default config [`decompiler::optimize`] shrinks the TAC before the
+/// fixpoint ever sees it — one def-use worklist constant propagation,
+/// then one mark-sweep dead-code elimination; `config.optimize_ir =
+/// false` analyzes the raw decompiler output instead.
 pub fn analyze_bytecode(bytecode: &[u8], config: &Config) -> Report {
     analyze_bytecode_with_limits(bytecode, config, decompiler::Limits::default())
 }
