@@ -8,7 +8,7 @@
 //! cargo run --release -p bench --bin exp1_kill [population_size]
 //! ```
 
-use bench::{scan, size_arg};
+use bench::{scan_jobs, size_arg};
 use chain::TestNet;
 use corpus::{Population, PopulationConfig};
 use ethainter::{Config, Vuln};
@@ -29,7 +29,7 @@ fn main() {
     let addrs = pop.deploy(&mut net);
 
     eprintln!("scanning for selfdestruct-class vulnerabilities…");
-    let result = scan(&pop, &Config::default(), true);
+    let result = scan_jobs(&pop, &Config::default(), 0);
 
     // Flagged = any selfdestruct-class finding (Ethainter-Kill's scope).
     let flagged: Vec<usize> = result

@@ -13,7 +13,7 @@
 //! cargo run --release -p bench --bin exp8_ablations [population_size]
 //! ```
 
-use bench::{prevalence, print_table, report_ratios, scan, size_arg};
+use bench::{prevalence, print_table, report_ratios, scan_jobs, size_arg};
 use corpus::{Population, PopulationConfig};
 use ethainter::{Config, Vuln};
 
@@ -38,7 +38,7 @@ fn main() {
     let pop = Population::generate(&PopulationConfig { size, ..Default::default() });
 
     eprintln!("scanning: default configuration…");
-    let base = scan(&pop, &Config::default(), true);
+    let base = scan_jobs(&pop, &Config::default(), 0);
     let base_rows = prevalence(&pop, &base.reports);
 
     let variants = [
@@ -51,7 +51,7 @@ fn main() {
     let mut table = Vec::new();
     for (name, cfg) in variants {
         eprintln!("scanning: {name}…");
-        let v = scan(&pop, &cfg, true);
+        let v = scan_jobs(&pop, &cfg, 0);
         let v_rows = prevalence(&pop, &v.reports);
         let ratios = report_ratios(&base_rows, &v_rows);
         let charted: Vec<f64> = CHARTED

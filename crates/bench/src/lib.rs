@@ -57,12 +57,6 @@ pub fn scan_jobs(pop: &Population, cfg: &Config, jobs: usize) -> ScanResult {
     ScanResult { reports, jobs: batch.jobs, elapsed: batch.wall_time }
 }
 
-/// Scans every contract with Ethainter (compatibility wrapper:
-/// `parallel` maps to one worker per core, otherwise a single worker).
-pub fn scan(pop: &Population, cfg: &Config, parallel: bool) -> ScanResult {
-    scan_jobs(pop, cfg, if parallel { 0 } else { 1 })
-}
-
 /// One row of the §6.2 prevalence table.
 #[derive(Clone, Debug)]
 pub struct PrevalenceRow {
@@ -245,40 +239,6 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Per-contract latency distribution, as emitted in
-/// `BENCH_fixpoint.json` (all values in microseconds).
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
-pub struct LatencySummary {
-    /// Median per-contract time.
-    pub p50: u64,
-    /// 90th-percentile per-contract time.
-    pub p90: u64,
-    /// Slowest contract.
-    pub max: u64,
-}
-
-/// Nearest-rank percentile (`p` in `[0, 100]`) of an ascending-sorted
-/// sample set. Empty input yields 0.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    // Nearest-rank: the smallest value with at least p% of the samples
-    // at or below it.
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Sorts `samples` in place and summarizes p50/p90/max.
-pub fn latency_summary(samples: &mut [u64]) -> LatencySummary {
-    samples.sort_unstable();
-    LatencySummary {
-        p50: percentile(samples, 50.0),
-        p90: percentile(samples, 90.0),
-        max: samples.last().copied().unwrap_or(0),
-    }
-}
-
 /// Population size from the first CLI argument, with a default.
 pub fn size_arg(default: usize) -> usize {
     std::env::args()
@@ -299,8 +259,8 @@ mod tests {
     #[test]
     fn scan_is_deterministic() {
         let pop = small_pop();
-        let a = scan(&pop, &Config::default(), false);
-        let b = scan(&pop, &Config::default(), true);
+        let a = scan_jobs(&pop, &Config::default(), 1);
+        let b = scan_jobs(&pop, &Config::default(), 0);
         for (x, y) in a.reports.iter().zip(&b.reports) {
             assert_eq!(x.findings, y.findings);
         }
@@ -309,7 +269,7 @@ mod tests {
     #[test]
     fn prevalence_counts_match_reports() {
         let pop = small_pop();
-        let s = scan(&pop, &Config::default(), false);
+        let s = scan_jobs(&pop, &Config::default(), 1);
         let rows = prevalence(&pop, &s.reports);
         for row in rows {
             let direct =
@@ -321,7 +281,7 @@ mod tests {
     #[test]
     fn sample_only_includes_sourced_flagged() {
         let pop = small_pop();
-        let s = scan(&pop, &Config::default(), false);
+        let s = scan_jobs(&pop, &Config::default(), 1);
         let sample = sample_flagged_with_source(&pop, &s.reports, 10, 1);
         for id in sample {
             assert!(pop.contracts[id].source.is_some());
@@ -332,7 +292,7 @@ mod tests {
     #[test]
     fn precision_rows_bounded_by_sample() {
         let pop = small_pop();
-        let s = scan(&pop, &Config::default(), false);
+        let s = scan_jobs(&pop, &Config::default(), 1);
         let sample = sample_flagged_with_source(&pop, &s.reports, 10, 2);
         let rows = score_sample(&pop, &s.reports, &sample);
         for (_, r) in &rows {
@@ -342,24 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_follow_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 90.0), 90);
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        assert_eq!(percentile(&[], 50.0), 0);
-        // Odd-sized set: p50 is the middle element.
-        assert_eq!(percentile(&[10, 20, 30], 50.0), 20);
-        let mut samples = vec![30, 10, 20, 40, 50];
-        let s = latency_summary(&mut samples);
-        assert_eq!((s.p50, s.p90, s.max), (30, 50, 50));
-    }
-
-    #[test]
     fn ratios_are_one_for_identical_scans() {
         let pop = small_pop();
-        let s = scan(&pop, &Config::default(), false);
+        let s = scan_jobs(&pop, &Config::default(), 1);
         let rows = prevalence(&pop, &s.reports);
         for (_, ratio) in report_ratios(&rows, &rows) {
             // Rows with zero flags report 0 by convention.

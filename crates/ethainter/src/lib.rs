@@ -64,18 +64,8 @@ pub const ANALYZER_VERSION: &str = concat!("ethainter-rs/", env!("CARGO_PKG_VERS
 /// then one mark-sweep dead-code elimination; `config.optimize_ir =
 /// false` analyzes the raw decompiler output instead.
 pub fn analyze_bytecode(bytecode: &[u8], config: &Config) -> Report {
-    analyze_bytecode_with_limits(bytecode, config, decompiler::Limits::default())
-}
-
-/// Like [`analyze_bytecode`], with an explicit decompilation budget
-/// (the paper's timeout analogue).
-pub fn analyze_bytecode_with_limits(
-    bytecode: &[u8],
-    config: &Config,
-    limits: decompiler::Limits,
-) -> Report {
     let sp_dec = telemetry::span("ethainter.decompile");
-    let mut program = decompiler::decompile_with_limits(bytecode, limits);
+    let mut program = decompiler::decompile_with_limits(bytecode, decompiler::Limits::default());
     let decompile_us = sp_dec.finish_us();
     let sp_pass = telemetry::span("ethainter.passes");
     if config.optimize_ir {

@@ -26,7 +26,7 @@ use std::time::Instant;
 ///    constants, `DS`/`DSA`, guard discovery, and the sparse engine's
 ///    edge maps;
 /// 5. `fixpoint` — the mutually-recursive taint/guard-defeat fixpoint
-///    (the hot path the `BENCH_fixpoint.json` trajectory tracks),
+///    (the hot path, observed as `ethainter_phase_fixpoint_us`),
 ///    including provenance recording when
 ///    [`Config::witness`](crate::Config) is on;
 /// 6. `sink_scan` — detectors, the tainted-owner sink scan, and the

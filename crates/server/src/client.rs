@@ -3,8 +3,9 @@
 //!
 //! This is **not** a general HTTP client: one request per connection,
 //! no redirects, no TLS, no keep-alive — exactly the dialect the
-//! [`crate::http`] server speaks, so the E2E suite and `bench_serve`
-//! exercise the real wire protocol without pulling in a dependency.
+//! [`crate::http`] server speaks, so the E2E suite and the repository
+//! benchmark exercise the real wire protocol without pulling in a
+//! dependency.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -163,11 +163,11 @@ fn unchecked_staticcall_exploit_forges_trusted_output() {
 fn decompile_timeout_contracts_are_counted_not_crashed() {
     let src = "contract C { function kill() public { selfdestruct(msg.sender); } }";
     let compiled = minisol::compile_source(src).unwrap();
-    let report = ethainter::analyze_bytecode_with_limits(
+    let program = decompiler::decompile_with_limits(
         &compiled.bytecode,
-        &Config::default(),
         decompiler::Limits { max_blocks: 1, max_stmts: 10 },
     );
+    let report = ethainter::analyze(&program, &Config::default());
     assert!(report.timed_out);
     assert!(report.findings.is_empty());
 }
