@@ -15,7 +15,6 @@ use bench::{scan_jobs, size_arg};
 use corpus::{Population, PopulationConfig};
 use ethainter::Config;
 use std::time::Instant;
-use store::ContractSource as _;
 
 fn main() {
     let size = size_arg(20_000);
@@ -93,27 +92,20 @@ fn main() {
     // populated by the cold run). The warm pass is what an unchanged
     // re-scan of the chain costs: pure content-addressed lookups.
     eprintln!("warm-vs-cold result-store scan…");
-    let scan_once = |cache: &mut store::ResultStore, tag: &str| {
-        let dir = std::env::temp_dir()
-            .join(format!("ethainter-exp7-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    let scan_once = |cache: &mut store::ResultStore| {
         let source = store::CorpusSource::new(pop_cfg);
-        let manifest = store::Manifest::new(&Config::default(), source.descriptor());
-        let mut cp = store::Checkpoint::create(&dir, manifest).expect("checkpoint creates");
         let t0 = Instant::now();
         let summary = store::Scanner { cache: Some(cache), ..store::Scanner::default() }
-            .scan(source, &mut cp, |_| {}, |_| {})
+            .scan(source, None, |_| {}, |_| {})
             .expect("scan runs");
-        let elapsed = t0.elapsed();
-        let _ = std::fs::remove_dir_all(&dir);
-        (summary, elapsed)
+        (summary, t0.elapsed())
     };
     let cache_dir = std::env::temp_dir()
         .join(format!("ethainter-exp7-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let mut cache = store::ResultStore::open(&cache_dir).expect("cache opens");
-    let (cold, cold_elapsed) = scan_once(&mut cache, "cold");
-    let (warm, warm_elapsed) = scan_once(&mut cache, "warm");
+    let (cold, cold_elapsed) = scan_once(&mut cache);
+    let (warm, warm_elapsed) = scan_once(&mut cache);
     assert_eq!(warm.fresh, 0, "warm re-scan must be pure cache hits");
     let cache_entries = cache.len();
     let _ = std::fs::remove_dir_all(&cache_dir);

@@ -657,60 +657,6 @@ pub fn analyze_job(
     }))
 }
 
-/// Analyzes an unbounded stream of `(id, bytecode)` contracts with
-/// bounded memory: contracts are pulled from the iterator `chunk` at a
-/// time, each chunk runs through [`analyze_batch`] (same parallelism,
-/// timeout, and panic isolation), and every [`Outcome`] is handed to
-/// `sink` in input order — with its **global** stream index — as soon as
-/// its chunk completes. At no point are more than `chunk` contracts (or
-/// outcomes) resident.
-///
-/// This is the driver half of the ROADMAP's streaming-corpus item: a
-/// population larger than RAM flows through as long as the source
-/// iterator itself is lazy (see `corpus::stream` and the
-/// `store::ContractSource` adapters). The returned [`Summary`] is
-/// aggregated incrementally.
-pub fn analyze_stream<I, F>(
-    contracts: I,
-    cfg: &DriverConfig,
-    analysis: &ethainter::Config,
-    chunk: usize,
-    mut sink: F,
-) -> Summary
-where
-    I: IntoIterator<Item = (String, Vec<u8>)>,
-    F: FnMut(Outcome),
-{
-    let chunk = chunk.max(1);
-    let started = Instant::now();
-    let mut summary = Summary::empty(cfg.effective_jobs());
-    let mut next_index = 0usize;
-    let mut pending: Vec<(String, Vec<u8>)> = Vec::with_capacity(chunk);
-    let mut flush = |pending: &mut Vec<(String, Vec<u8>)>, base: usize| {
-        let report = analyze_batch(std::mem::take(pending), cfg, analysis);
-        for mut o in report.outcomes {
-            o.index += base;
-            summary.record(&o.status);
-            sink(o);
-        }
-    };
-    for item in contracts {
-        pending.push(item);
-        if pending.len() == chunk {
-            flush(&mut pending, next_index);
-            next_index += chunk;
-        }
-    }
-    if !pending.is_empty() {
-        let n = pending.len();
-        flush(&mut pending, next_index);
-        next_index += n;
-    }
-    debug_assert_eq!(summary.total, next_index);
-    summary.finish(started.elapsed());
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,60 +762,6 @@ mod tests {
         assert_eq!(s.analyzed, 4);
         assert_eq!(s.findings, 8);
         assert_eq!(s.composite, 4);
-    }
-
-    #[test]
-    fn stream_emits_global_indices_in_order_across_chunks() {
-        // 11 trivial contracts (a lone STOP) through chunk size 4: the
-        // sink must observe global indices 0..11 in order, with the tail
-        // chunk shorter than the rest.
-        let items: Vec<(String, Vec<u8>)> =
-            (0..11).map(|i| (format!("s{i}"), vec![0x00])).collect();
-        let mut seen: Vec<(usize, String)> = Vec::new();
-        let summary = analyze_stream(
-            items,
-            &cfg(2, 10_000),
-            &ethainter::Config::default(),
-            4,
-            |o| seen.push((o.index, o.id.clone())),
-        );
-        assert_eq!(summary.total, 11);
-        assert_eq!(seen.len(), 11);
-        for (i, (idx, id)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(id, &format!("s{i}"));
-        }
-    }
-
-    #[test]
-    fn stream_summary_matches_batch_summary() {
-        let items: Vec<(String, Vec<u8>)> =
-            (0..6).map(|i| (format!("s{i}"), vec![0x00])).collect();
-        let batch = analyze_batch(items.clone(), &cfg(1, 10_000), &ethainter::Config::default());
-        let mut streamed: Vec<Outcome> = Vec::new();
-        let summary =
-            analyze_stream(items, &cfg(1, 10_000), &ethainter::Config::default(), 2, |o| {
-                streamed.push(o)
-            });
-        // elapsed_ms and per-phase timings legitimately differ between
-        // runs; everything else must be identical.
-        assert_eq!(streamed.len(), batch.outcomes.len());
-        for (s, b) in streamed.iter().zip(&batch.outcomes) {
-            assert_eq!(
-                (s.index, &s.id, s.status.verdict_only()),
-                (b.index, &b.id, b.status.verdict_only())
-            );
-            // Real analyses must uphold the derived-total invariant:
-            // whoever stamps a phase last re-derives `total_us`.
-            if let Status::Analyzed { timings, .. } = &s.status {
-                assert_eq!(timings.total_us, timings.phase_sum());
-            }
-        }
-        let b = batch.summary();
-        assert_eq!(
-            (summary.total, summary.analyzed, summary.findings),
-            (b.total, b.analyzed, b.findings)
-        );
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! ethainter disasm <file>           # print the disassembly
 //! ethainter compile <file>          # print bytecode hex + selectors
 //! ethainter kill <file>             # analyze, deploy on a sandbox, exploit
-//! ethainter scan <n>                # generate a population and scan it
 //! ethainter batch [files] [--corpus n] [--jobs n] [--timeout-ms t] [--out f]
 //!                 [--cache-dir d] [--checkpoint d | --resume d] [--limit n]
+//!                 # the population scan; --limit without --checkpoint just stops
 //! ethainter serve [--addr a] [--jobs n] [--queue-depth n] [--cache-dir d]
 //! ethainter cache stats --cache-dir d [--json]  # result-store report
 //! ethainter lint [files] [--corpus n]  # IR well-formedness check, fails on violations
@@ -50,7 +50,6 @@ fn main() -> ExitCode {
         "disasm" => cmd_disasm(rest),
         "compile" => cmd_compile(rest),
         "kill" => cmd_kill(rest),
-        "scan" => cmd_scan(rest),
         "batch" => cmd_batch(rest),
         "serve" => cmd_serve(rest),
         "cache" => cmd_cache(rest),
@@ -82,7 +81,6 @@ USAGE:
     ethainter disasm <file>
     ethainter compile <file>
     ethainter kill <file>
-    ethainter scan [n]
     ethainter batch [<file>...] [--corpus n] [--seed s] [--scale sc] [--jobs n]
                     [--timeout-ms t] [--out f.jsonl] [--chunk n] [config flags]
                     [--cache-dir d] [--checkpoint d | --resume d] [--limit n]
@@ -132,9 +130,11 @@ flushed as it is produced — a killed run leaves a valid JSONL prefix.
 an unchanged scan answers from the cache instead of re-analyzing
 (`cache stats` reports entries and hit rates). --checkpoint d logs
 every outcome to d so a killed scan can continue with --resume d,
-which skips completed contracts and writes d/merged.jsonl — verdicts
-byte-identical to an uninterrupted run. --limit n stops after
-recording n outcomes (a deterministic interrupt, used by CI).
+which skips completed contracts; a checkpointed scan that reaches the
+end of its inputs writes d/merged.jsonl — verdicts byte-identical to
+an uninterrupted run. --limit n stops after recording n outcomes (a
+deterministic interrupt, used by CI); with --checkpoint the scan can
+then be resumed, without one it just stops.
 
 batch draws a live progress heartbeat (done/total, throughput, ETA)
 on stderr when it is an interactive terminal; it auto-disables under
@@ -163,9 +163,10 @@ oldest age out (GET → 410 Gone) so week-long daemons stay flat.
 --metrics-out f persists a final metric-registry snapshot (JSON plus
 a .prom sibling) during the SIGINT drain, same writer as batch.
 
-lint runs the IR well-formedness validator over each input's raw
-decompiler output and exits non-zero if any violation is found —
-the CI gate that the decompiler only ever emits well-formed TAC.";
+lint takes the same inputs as batch and runs the IR well-formedness
+validator over each one's raw decompiler output, one contract at a
+time; it exits non-zero if any violation is found — the CI gate that
+the decompiler only ever emits well-formed TAC.";
 
 /// Loads bytecode from a source or hex file.
 fn load_bytecode(path: &str) -> Result<Vec<u8>, String> {
@@ -420,12 +421,81 @@ fn cmd_kill(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parsed `batch` flags.
-struct BatchArgs {
+/// The contract inputs `batch` and `lint` share: file arguments, then
+/// `--corpus n` generated contracts at `--seed`/`--scale`.
+struct Inputs {
     files: Vec<String>,
     corpus_n: usize,
     seed: u64,
     scale: corpus::Scale,
+}
+
+impl Inputs {
+    fn new() -> Inputs {
+        Inputs { files: Vec::new(), corpus_n: 0, seed: 7, scale: corpus::Scale::default() }
+    }
+
+    /// Consumes `arg` if it is an input: `--corpus`/`--seed`/`--scale`
+    /// (with the value `take` pulls) or a file path. Returns false for
+    /// any other flag.
+    fn take_arg(
+        &mut self,
+        arg: &str,
+        mut take: impl FnMut(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--corpus" => {
+                self.corpus_n = take("--corpus")?.parse().map_err(|e| format!("bad --corpus: {e}"))?
+            }
+            "--seed" => self.seed = take("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?,
+            "--scale" => {
+                let v = take("--scale")?;
+                self.scale = corpus::Scale::parse(&v).ok_or_else(|| {
+                    format!("bad --scale: `{v}` (expected small|realistic|adversarial)")
+                })?
+            }
+            flag if flag.starts_with("--") => return Ok(false),
+            file => self.files.push(file.to_string()),
+        }
+        Ok(true)
+    }
+
+    fn len(&self) -> usize {
+        self.files.len() + self.corpus_n
+    }
+
+    /// The streaming source over file inputs followed by the generated
+    /// corpus; its descriptor is stable across invocations, which is
+    /// what lets a resume validate it is scanning the same inputs.
+    /// Files are loaded up front, so an unreadable one fails `cmd`
+    /// before any analysis.
+    fn source(&self, cmd: &str) -> Result<store::ChainedSource, String> {
+        if self.len() == 0 {
+            return Err(format!("{cmd}: no inputs (pass files and/or --corpus n)"));
+        }
+        let mut sources: Vec<Box<dyn store::ContractSource>> = Vec::new();
+        if !self.files.is_empty() {
+            let mut loaded = Vec::with_capacity(self.files.len());
+            for f in &self.files {
+                loaded.push((f.clone(), load_bytecode(f)?));
+            }
+            sources.push(Box::new(store::MemorySource::new(loaded)));
+        }
+        if self.corpus_n > 0 {
+            sources.push(Box::new(store::CorpusSource::new(corpus::PopulationConfig {
+                size: self.corpus_n,
+                seed: self.seed,
+                scale: self.scale,
+                ..Default::default()
+            })));
+        }
+        Ok(store::ChainedSource::new(sources))
+    }
+}
+
+/// Parsed `batch` flags.
+struct BatchArgs {
+    inputs: Inputs,
     jobs: usize,
     timeout_ms: u64,
     out_path: Option<String>,
@@ -442,10 +512,7 @@ struct BatchArgs {
 impl BatchArgs {
     fn parse(args: &[String]) -> Result<BatchArgs, String> {
         let mut p = BatchArgs {
-            files: Vec::new(),
-            corpus_n: 0,
-            seed: 7,
-            scale: corpus::Scale::default(),
+            inputs: Inputs::new(),
             jobs: 0,
             timeout_ms: 120_000,
             out_path: None,
@@ -464,19 +531,6 @@ impl BatchArgs {
                 it.next().cloned().ok_or_else(|| format!("batch: {name} needs a value"))
             };
             match a.as_str() {
-                "--corpus" => {
-                    p.corpus_n =
-                        take("--corpus")?.parse().map_err(|e| format!("bad --corpus: {e}"))?
-                }
-                "--seed" => {
-                    p.seed = take("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?
-                }
-                "--scale" => {
-                    let v = take("--scale")?;
-                    p.scale = corpus::Scale::parse(&v).ok_or_else(|| {
-                        format!("bad --scale: `{v}` (expected small|realistic|adversarial)")
-                    })?
-                }
                 "--jobs" => {
                     p.jobs = take("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?
                 }
@@ -501,49 +555,17 @@ impl BatchArgs {
                 "--trace-out" => p.trace_out = Some(take("--trace-out")?),
                 "--no-guards" | "--no-storage" | "--conservative" | "--no-passes"
                 | "--no-range-guards" | "--witness" => {} // parse_config reads these
-                other if other.starts_with("--") => {
-                    return Err(format!("batch: unknown flag `{other}`"));
+                other => {
+                    if !p.inputs.take_arg(other, take)? {
+                        return Err(format!("batch: unknown flag `{other}`"));
+                    }
                 }
-                file => p.files.push(file.to_string()),
             }
         }
         if p.checkpoint_dir.is_some() && p.resume_dir.is_some() {
             return Err("batch: --checkpoint and --resume are mutually exclusive".into());
         }
-        if p.files.is_empty() && p.corpus_n == 0 {
-            return Err("batch: no inputs (pass files and/or --corpus n)".into());
-        }
         Ok(p)
-    }
-
-    fn driver_config(&self) -> driver::DriverConfig {
-        driver::DriverConfig {
-            jobs: self.jobs,
-            timeout: std::time::Duration::from_millis(self.timeout_ms),
-        }
-    }
-
-    /// The streaming source over file inputs followed by the generated
-    /// corpus; its descriptor is stable across invocations, which is
-    /// what lets a resume validate it is scanning the same inputs.
-    fn source(&self) -> Result<store::ChainedSource, String> {
-        let mut sources: Vec<Box<dyn store::ContractSource>> = Vec::new();
-        if !self.files.is_empty() {
-            let mut loaded = Vec::with_capacity(self.files.len());
-            for f in &self.files {
-                loaded.push((f.clone(), load_bytecode(f)?));
-            }
-            sources.push(Box::new(store::MemorySource::new(loaded)));
-        }
-        if self.corpus_n > 0 {
-            sources.push(Box::new(store::CorpusSource::new(corpus::PopulationConfig {
-                size: self.corpus_n,
-                seed: self.seed,
-                scale: self.scale,
-                ..Default::default()
-            })));
-        }
-        Ok(store::ChainedSource::new(sources))
     }
 }
 
@@ -616,69 +638,103 @@ fn install_trace_writer(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `ethainter batch` — one [`store::Scanner`] run over the inputs, with
+/// the content-addressed cache (`--cache-dir`) and the checkpoint log
+/// (`--checkpoint`/`--resume`, which also writes `merged.jsonl`) in the
+/// loop when asked for.
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let parsed = BatchArgs::parse(args)?;
     let analysis = parse_config(args);
-    let cfg = parsed.driver_config();
-
+    let source = parsed.inputs.source("batch")?;
     if let Some(path) = &parsed.trace_out {
         install_trace_writer(path)?;
     }
-    if parsed.cache_dir.is_some()
-        || parsed.checkpoint_dir.is_some()
-        || parsed.resume_dir.is_some()
-        || parsed.limit.is_some()
-    {
-        batch_with_store(&parsed, &cfg, &analysis)?;
-    } else {
-        batch_plain(&parsed, &cfg, &analysis)?;
-    }
-    write_telemetry_outputs(&parsed)
-}
 
-/// The plain batch path: stream files + generated corpus through the
-/// driver in bounded chunks, flushing each outcome line as it is
-/// produced.
-fn batch_plain(
-    parsed: &BatchArgs,
-    cfg: &driver::DriverConfig,
-    analysis: &Config,
-) -> Result<(), String> {
-    let mut contracts: Vec<(String, Vec<u8>)> = Vec::with_capacity(parsed.files.len());
-    for f in &parsed.files {
-        contracts.push((f.clone(), load_bytecode(f)?));
-    }
-    let generated = corpus::stream(&corpus::PopulationConfig {
-        size: parsed.corpus_n,
-        seed: parsed.seed,
-        scale: parsed.scale,
-        ..Default::default()
-    })
-    .take(parsed.corpus_n)
-    .map(|c| (format!("{}#{}", c.family, c.id), c.bytecode));
+    let manifest = || store::Manifest::new(&analysis, source.descriptor());
+    let mut checkpoint = match (&parsed.checkpoint_dir, &parsed.resume_dir) {
+        (Some(d), _) => Some(store::Checkpoint::create(d, manifest())?),
+        (None, Some(d)) => {
+            if !std::path::Path::new(d).is_dir() {
+                return Err(format!("batch: --resume {d}: no such checkpoint directory"));
+            }
+            let cp = store::Checkpoint::resume(d, &manifest())?;
+            out!("resuming {d}: {} outcome(s) already recorded", cp.preloaded());
+            Some(cp)
+        }
+        (None, None) => None,
+    };
 
-    let total = (parsed.files.len() + parsed.corpus_n) as u64;
-    let mut progress = telemetry::Progress::new(Some(total), parsed.no_progress);
+    let mut cache = match &parsed.cache_dir {
+        Some(d) => Some(store::ResultStore::open(d)?),
+        None => None,
+    };
+
+    // The heartbeat's total is the full input set; a resumed scan only
+    // ticks the remainder, so its line under-fills — the ETA is still
+    // honest about the work left.
+    let mut progress =
+        telemetry::Progress::new(Some(parsed.inputs.len() as u64), parsed.no_progress);
     let mut sink = JsonlSink::open(parsed.out_path.as_deref())?;
     let mut io_error: Option<String> = None;
-    let summary = driver::analyze_stream(
-        contracts.into_iter().chain(generated),
-        cfg,
+    let driver = driver::DriverConfig {
+        jobs: parsed.jobs,
+        timeout: std::time::Duration::from_millis(parsed.timeout_ms),
+    };
+    let mut summary = driver::Summary::empty(driver.effective_jobs());
+    let scan = store::Scanner {
+        driver,
         analysis,
-        parsed.chunk,
+        chunk: parsed.chunk,
+        limit: parsed.limit,
+        cache: cache.as_mut(),
+    }
+    .scan(
+        source,
+        checkpoint.as_mut(),
         |o| {
+            summary.record(&o.status);
             if io_error.is_none() {
-                io_error = sink.write(&o).err();
+                io_error = sink.write(o).err();
             }
             progress.tick();
         },
-    );
+        |e| eprintln!("warning: skipping unreadable input: {e}"),
+    )?;
     progress.finish();
     if let Some(e) = io_error {
         return Err(e);
     }
-    print_summary(&summary, 0, 0);
-    Ok(())
+    summary.finish(scan.wall);
+
+    print_summary(&summary, scan.skipped_completed, scan.cache_hits);
+    if let Some(cache) = &cache {
+        let s = cache.stats();
+        out!(
+            "  cache: {} entr{}, {} hit(s) / {} miss(es) this scan",
+            s.entries,
+            if s.entries == 1 { "y" } else { "ies" },
+            scan.cache_hits,
+            scan.fresh
+        );
+    }
+    let limit = parsed.limit.unwrap_or(0);
+    match &checkpoint {
+        Some(cp) if scan.interrupted => out!(
+            "  interrupted at --limit {limit}: {} of {} recorded — continue with --resume {}",
+            cp.completed_count(),
+            scan.seen,
+            cp.dir().display()
+        ),
+        Some(cp) => out!("  merged verdicts: {}", cp.write_merged()?.display()),
+        None if scan.interrupted => {
+            out!("  stopped at --limit {limit}: {} recorded", scan.recorded())
+        }
+        None => {}
+    }
+    if let Some(cp) = &checkpoint {
+        out!("  checkpoint: {}", cp.dir().display());
+    }
+    write_telemetry_outputs(&parsed)
 }
 
 /// Writes the post-batch telemetry artifacts: a metric-registry
@@ -714,114 +770,6 @@ fn write_metrics_snapshot(path: &str) -> Result<String, String> {
     };
     std::fs::write(&prom, snap.to_prometheus()).map_err(|e| format!("writing {prom}: {e}"))?;
     Ok(prom)
-}
-
-/// The checkpointed/cached batch path: a [`store::Scanner`] run with a
-/// per-scan manifest, per-record-flushed outcome log, optional
-/// content-addressed cache, and a deterministic merged verdict file.
-fn batch_with_store(
-    parsed: &BatchArgs,
-    cfg: &driver::DriverConfig,
-    analysis: &Config,
-) -> Result<(), String> {
-    let source = parsed.source()?;
-    let manifest = store::Manifest::new(analysis, source.descriptor());
-
-    // A scan without an explicit checkpoint dir (cache-only or limited
-    // runs) still goes through a checkpoint — in a throwaway directory.
-    let (cp_dir, ephemeral) = match (&parsed.checkpoint_dir, &parsed.resume_dir) {
-        (Some(d), _) | (_, Some(d)) => (std::path::PathBuf::from(d), false),
-        (None, None) => {
-            let dir = std::env::temp_dir()
-                .join(format!("ethainter-batch-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            (dir, true)
-        }
-    };
-    let mut checkpoint = if let Some(d) = &parsed.resume_dir {
-        if !std::path::Path::new(d).is_dir() {
-            return Err(format!("batch: --resume {d}: no such checkpoint directory"));
-        }
-        store::Checkpoint::resume(&cp_dir, &manifest)?
-    } else {
-        store::Checkpoint::create(&cp_dir, manifest)?
-    };
-    let preloaded = checkpoint.preloaded();
-    if preloaded > 0 {
-        out!("resuming {}: {preloaded} outcome(s) already recorded", cp_dir.display());
-    }
-
-    let mut cache = match &parsed.cache_dir {
-        Some(d) => Some(store::ResultStore::open(d)?),
-        None => None,
-    };
-
-    // The heartbeat's total is the full input set; a resumed scan only
-    // ticks the remainder, so its line under-fills — the ETA is still
-    // honest about the work left.
-    let total = (parsed.files.len() + parsed.corpus_n) as u64;
-    let mut progress = telemetry::Progress::new(Some(total), parsed.no_progress);
-    let mut sink = JsonlSink::open(parsed.out_path.as_deref())?;
-    let mut io_error: Option<String> = None;
-    let mut summary = driver::Summary::empty(cfg.effective_jobs());
-    let scan = {
-        let mut scanner = store::Scanner {
-            driver: cfg.clone(),
-            analysis: *analysis,
-            chunk: parsed.chunk.max(1),
-            limit: parsed.limit,
-            cache: cache.as_mut(),
-        };
-        scanner.scan(
-            source,
-            &mut checkpoint,
-            |o| {
-                summary.record(&o.status);
-                if io_error.is_none() {
-                    io_error = sink.write(o).err();
-                }
-                progress.tick();
-            },
-            |e| eprintln!("warning: skipping unreadable input: {e}"),
-        )?
-    };
-    progress.finish();
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    summary.finish(std::time::Duration::from_millis(scan.wall_ms));
-
-    print_summary(&summary, scan.skipped_completed, scan.cache_hits);
-    if let Some(cache) = &cache {
-        let s = cache.stats();
-        out!(
-            "  cache: {} entr{}, {} hit(s) / {} miss(es) this scan",
-            s.entries,
-            if s.entries == 1 { "y" } else { "ies" },
-            scan.cache_hits,
-            scan.fresh
-        );
-    }
-    if scan.interrupted {
-        out!(
-            "  interrupted at --limit {}: {} of {} recorded — continue with --resume {}",
-            parsed.limit.unwrap_or(0),
-            checkpoint.completed_count(),
-            scan.seen,
-            cp_dir.display()
-        );
-    } else if !ephemeral {
-        let merged = checkpoint.write_merged()?;
-        out!("  merged verdicts: {}", merged.display());
-    }
-    if !ephemeral {
-        out!("  checkpoint: {}", cp_dir.display());
-    }
-    drop(checkpoint);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&cp_dir);
-    }
-    Ok(())
 }
 
 /// `ethainter serve` — run the analyzer as an HTTP daemon until
@@ -952,59 +900,27 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `ethainter lint` — stream the inputs one contract at a time through
+/// the IR validator.
 fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let mut files: Vec<String> = Vec::new();
-    let mut corpus_n = 0usize;
-    let mut seed = 7u64;
-    let mut scale = corpus::Scale::default();
-
+    let mut inputs = Inputs::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
+        let take = |name: &str| -> Result<String, String> {
             it.next().cloned().ok_or_else(|| format!("lint: {name} needs a value"))
         };
-        match a.as_str() {
-            "--corpus" => {
-                corpus_n = take("--corpus")?.parse().map_err(|e| format!("bad --corpus: {e}"))?
-            }
-            "--seed" => seed = take("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?,
-            "--scale" => {
-                let v = take("--scale")?;
-                scale = corpus::Scale::parse(&v).ok_or_else(|| {
-                    format!("bad --scale: `{v}` (expected small|realistic|adversarial)")
-                })?
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("lint: unknown flag `{other}`"));
-            }
-            file => files.push(file.to_string()),
+        if !inputs.take_arg(a, take)? {
+            return Err(format!("lint: unknown flag `{a}`"));
         }
     }
 
-    let mut contracts: Vec<(String, Vec<u8>)> = Vec::with_capacity(files.len() + corpus_n);
-    for f in &files {
-        contracts.push((f.clone(), load_bytecode(f)?));
-    }
-    if corpus_n > 0 {
-        let pop = corpus::Population::generate(&corpus::PopulationConfig {
-            size: corpus_n,
-            seed,
-            scale,
-            ..Default::default()
-        });
-        for (i, c) in pop.contracts.into_iter().enumerate() {
-            contracts.push((format!("{}#{i}", c.family), c.bytecode));
-        }
-    }
-    if contracts.is_empty() {
-        return Err("lint: no inputs (pass files and/or --corpus n)".into());
-    }
-
-    let total = contracts.len();
+    let mut total = 0usize;
     let mut violations = 0usize;
     let mut skipped = 0usize;
-    for (id, code) in &contracts {
-        let program = decompiler::decompile(code);
+    for item in inputs.source("lint")? {
+        let store::SourceContract { id, bytecode } = item?;
+        total += 1;
+        let program = decompiler::decompile(&bytecode);
         // Incomplete decompilations legitimately break the invariants
         // (budget cutoffs leave blocks unterminated) — the validator
         // only judges programs the decompiler claims are clean.
@@ -1022,41 +938,6 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     out!("linted {total} program(s): {violations} violation(s), {skipped} skipped");
     if violations > 0 {
         return Err(format!("{violations} IR violation(s)"));
-    }
-    Ok(())
-}
-
-fn cmd_scan(args: &[String]) -> Result<(), String> {
-    let size: usize = args
-        .first()
-        .map(|s| s.parse().map_err(|e| format!("bad size: {e}")))
-        .transpose()?
-        .unwrap_or(2_000);
-    let pop = corpus::Population::generate(&corpus::PopulationConfig {
-        size,
-        ..Default::default()
-    });
-    let started = std::time::Instant::now();
-    let mut flagged = 0usize;
-    let mut per_class = std::collections::BTreeMap::new();
-    for c in &pop.contracts {
-        let r = ethainter::analyze_bytecode(&c.bytecode, &Config::default());
-        if !r.findings.is_empty() {
-            flagged += 1;
-        }
-        for v in Vuln::ALL {
-            if r.has(v) {
-                *per_class.entry(v).or_insert(0usize) += 1;
-            }
-        }
-    }
-    out!(
-        "scanned {size} contracts in {:.1?} — {flagged} flagged ({:.2}%)",
-        started.elapsed(),
-        100.0 * flagged as f64 / size as f64
-    );
-    for (v, n) in per_class {
-        out!("  {:<30} {n} ({:.2}%)", v.to_string(), 100.0 * n as f64 / size as f64);
     }
     Ok(())
 }

@@ -143,3 +143,70 @@ fn missing_file_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 }
+
+/// A fresh, empty scratch directory for one test.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs `ethainter batch <args> --no-progress` in `dir`, returning stdout.
+fn batch(dir: &std::path::Path, args: &str) -> String {
+    let out = Command::new(bin())
+        .current_dir(dir)
+        .arg("batch")
+        .args(args.split_whitespace())
+        .arg("--no-progress")
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "{text}\n{}", String::from_utf8_lossy(&out.stderr));
+    text
+}
+
+/// `(index, id, status)` per JSONL outcome line, with the run-dependent
+/// `elapsed_ms`, `timings` and `rounds` stripped.
+fn verdict_lines(path: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let outcome: driver::Outcome = serde_json::from_str(line).unwrap();
+            let status = serde_json::to_string(&outcome.status.verdict_only()).unwrap();
+            format!("{} {} {status}", outcome.index, outcome.id)
+        })
+        .collect()
+}
+
+#[test]
+fn batch_with_and_without_checkpoint_agree() {
+    let dir = temp_dir("cli-batch-agree");
+    batch(&dir, "--corpus 40 --seed 3 --out a.jsonl");
+    let text = batch(&dir, "--corpus 40 --seed 3 --checkpoint d --out b.jsonl");
+    assert!(text.contains("merged verdicts"), "{text}");
+    let plain = verdict_lines(&dir.join("a.jsonl"));
+    assert_eq!(plain.len(), 40);
+    assert_eq!(plain, verdict_lines(&dir.join("b.jsonl")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batch_limit_equal_to_inputs_completes_the_scan() {
+    let dir = temp_dir("cli-batch-exact");
+    let text = batch(&dir, "--corpus 40 --checkpoint d --limit 40");
+    assert!(!text.contains("interrupted"), "{text}");
+    let merged = std::fs::read_to_string(dir.join("d/merged.jsonl")).expect("merged.jsonl");
+    assert_eq!(merged.lines().count(), 40);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batch_limit_without_checkpoint_just_stops() {
+    let dir = temp_dir("cli-batch-stop");
+    let text = batch(&dir, "--corpus 40 --limit 10");
+    assert!(text.contains("stopped at --limit 10: 10 recorded"), "{text}");
+    assert!(!text.contains("--resume"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

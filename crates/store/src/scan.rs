@@ -1,10 +1,13 @@
 //! The scan orchestrator: streams a [`ContractSource`] through the
-//! batch driver with the result cache and checkpoint log in the loop.
+//! batch driver with the optional result cache and checkpoint log in
+//! the loop. It is the one streaming batch loop: `ethainter batch`
+//! runs every scan through it, with or without a checkpoint.
 //!
 //! Per contract, in stream order:
 //!
-//! 1. **resume filter** — if the checkpoint already holds an outcome for
-//!    this index, skip it entirely (no decompile, no cache lookup);
+//! 1. **resume filter** — if the checkpoint (when there is one) already
+//!    holds an outcome for this index, skip it entirely (no decompile,
+//!    no cache lookup);
 //! 2. **cache lookup** — a hit materializes the outcome for free and is
 //!    recorded immediately;
 //! 3. **fresh analysis** — misses accumulate into a bounded chunk that
@@ -13,15 +16,16 @@
 //!    cached, and handed to the sink.
 //!
 //! Memory is bounded by the chunk size plus the cache index — never by
-//! the population. Every recorded outcome is flushed to the checkpoint
-//! log line-by-line before the scan advances, so a kill at any point
-//! leaves a valid, resumable prefix.
+//! the population. With a checkpoint, every recorded outcome is flushed
+//! to its log line-by-line before the scan advances, so a kill at any
+//! point leaves a valid, resumable prefix; without one, nothing is
+//! recorded on disk and the sink is the only consumer.
 
 use crate::cache::{cache_key, CacheKey, CachedResult, ResultStore};
 use crate::checkpoint::Checkpoint;
 use crate::source::ContractSource;
 use driver::{DriverConfig, Outcome, Status};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A cache miss queued for a driver run: (global index, id, code) plus
 /// the precomputed cache key and the µs its derivation + lookup took,
@@ -73,8 +77,8 @@ pub struct ScanSummary {
     pub source_errors: usize,
     /// True when `limit` stopped the scan before stream exhaustion.
     pub interrupted: bool,
-    /// Wall-clock milliseconds for this invocation.
-    pub wall_ms: u64,
+    /// Wall-clock time of this invocation.
+    pub wall: Duration,
 }
 
 impl ScanSummary {
@@ -101,11 +105,12 @@ impl Scanner<'_> {
     /// exactly one recorded outcome (this run or a previous one), unless
     /// `limit` interrupts first. `sink` observes each outcome recorded
     /// *this* run, in recording order; `on_source_error` observes
-    /// unreadable source items.
+    /// unreadable source items. With no `checkpoint` there is no resume
+    /// filter and nothing is logged.
     pub fn scan<S: ContractSource>(
         &mut self,
-        mut source: S,
-        checkpoint: &mut Checkpoint,
+        source: S,
+        mut checkpoint: Option<&mut Checkpoint>,
         mut sink: impl FnMut(&Outcome),
         mut on_source_error: impl FnMut(String),
     ) -> Result<ScanSummary, String> {
@@ -113,16 +118,14 @@ impl Scanner<'_> {
         let chunk_size = self.chunk.max(1);
         let mut summary = ScanSummary::default();
         let mut pending: Vec<PendingItem> = Vec::new();
-        let mut index = 0usize;
 
-        loop {
+        for (i, item) in source.enumerate() {
+            // Checked only once the stream has yielded another item, so
+            // a stream that ends exactly at the limit is complete.
             if self.limit_reached(&summary, pending.len()) {
                 summary.interrupted = true;
                 break;
             }
-            let Some(item) = source.next() else { break };
-            let i = index;
-            index += 1;
             summary.seen += 1;
             let item = match item {
                 Ok(item) => item,
@@ -132,7 +135,7 @@ impl Scanner<'_> {
                     continue;
                 }
             };
-            if checkpoint.is_completed(i) {
+            if checkpoint.as_deref().is_some_and(|cp| cp.is_completed(i)) {
                 summary.skipped_completed += 1;
                 continue;
             }
@@ -156,7 +159,9 @@ impl Scanner<'_> {
                             status,
                             elapsed_ms: hit.elapsed_ms,
                         };
-                        checkpoint.record(&outcome)?;
+                        if let Some(cp) = checkpoint.as_deref_mut() {
+                            cp.record(&outcome)?;
+                        }
                         sink(&outcome);
                         summary.cache_hits += 1;
                         continue;
@@ -167,16 +172,16 @@ impl Scanner<'_> {
             };
             pending.push((i, item.id, item.bytecode, key, lookup_us));
             if pending.len() >= chunk_size {
-                self.flush(&mut pending, checkpoint, &mut summary, &mut sink)?;
+                self.flush(&mut pending, &mut checkpoint, &mut summary, &mut sink)?;
             }
         }
         if !pending.is_empty() {
-            self.flush(&mut pending, checkpoint, &mut summary, &mut sink)?;
+            self.flush(&mut pending, &mut checkpoint, &mut summary, &mut sink)?;
         }
         if let Some(cache) = self.cache.as_deref_mut() {
             cache.persist_stats()?;
         }
-        summary.wall_ms = started.elapsed().as_millis() as u64;
+        summary.wall = started.elapsed();
         Ok(summary)
     }
 
@@ -195,7 +200,7 @@ impl Scanner<'_> {
     fn flush(
         &mut self,
         pending: &mut Vec<PendingItem>,
-        checkpoint: &mut Checkpoint,
+        checkpoint: &mut Option<&mut Checkpoint>,
         summary: &mut ScanSummary,
         sink: &mut impl FnMut(&Outcome),
     ) -> Result<(), String> {
@@ -212,7 +217,9 @@ impl Scanner<'_> {
             if key.is_some() {
                 stamp_cache_lookup(&mut outcome.status, lookup_us);
             }
-            checkpoint.record(&outcome)?;
+            if let Some(cp) = checkpoint.as_deref_mut() {
+                cp.record(&outcome)?;
+            }
             if let (Some(cache), Some(key)) = (self.cache.as_deref_mut(), key) {
                 cache.put(
                     key,
@@ -257,7 +264,7 @@ mod tests {
         let mut scanner = Scanner { chunk: 3, ..Scanner::default() };
         let mut emitted = Vec::new();
         let summary = scanner
-            .scan(MemorySource::new(items(8)), &mut cp, |o| emitted.push(o.index), |_| {})
+            .scan(MemorySource::new(items(8)), Some(&mut cp), |o| emitted.push(o.index), |_| {})
             .unwrap();
         assert_eq!(summary.seen, 8);
         assert_eq!(summary.fresh, 8);
@@ -278,16 +285,23 @@ mod tests {
             let mut scanner =
                 Scanner { chunk: 2, limit: Some(5), ..Scanner::default() };
             let summary = scanner
-                .scan(MemorySource::new(items(12)), &mut cp, |_| {}, |_| {})
+                .scan(MemorySource::new(items(12)), Some(&mut cp), |_| {}, |_| {})
                 .unwrap();
             assert!(summary.interrupted);
             assert_eq!(summary.recorded(), 5, "stops exactly at the limit");
         }
+        // A limit equal to the stream length records everything and is
+        // not an interruption.
+        let exact = Scanner { chunk: 2, limit: Some(12), ..Scanner::default() }
+            .scan(MemorySource::new(items(12)), None, |_| {}, |_| {})
+            .unwrap();
+        assert!(!exact.interrupted, "a stream ending at the limit is complete");
+        assert_eq!(exact.recorded(), 12);
         let mut cp = Checkpoint::resume(&dir, &manifest).unwrap();
         assert_eq!(cp.preloaded(), 5);
         let mut scanner = Scanner { chunk: 4, ..Scanner::default() };
         let summary = scanner
-            .scan(MemorySource::new(items(12)), &mut cp, |_| {}, |_| {})
+            .scan(MemorySource::new(items(12)), Some(&mut cp), |_| {}, |_| {})
             .unwrap();
         assert_eq!(summary.skipped_completed, 5);
         assert_eq!(summary.fresh, 7);
@@ -306,7 +320,7 @@ mod tests {
         let mut scanner =
             Scanner { chunk: 4, cache: Some(&mut cache), ..Scanner::default() };
         let cold = scanner
-            .scan(MemorySource::new(items(10)), &mut cp, |_| {}, |_| {})
+            .scan(MemorySource::new(items(10)), Some(&mut cp), |_| {}, |_| {})
             .unwrap();
         assert_eq!(cold.fresh, 10);
         assert_eq!(cold.cache_hits, 0);
@@ -317,7 +331,7 @@ mod tests {
         let mut scanner =
             Scanner { chunk: 4, cache: Some(&mut cache), ..Scanner::default() };
         let warm = scanner
-            .scan(MemorySource::new(items(10)), &mut cp2, |_| {}, |_| {})
+            .scan(MemorySource::new(items(10)), Some(&mut cp2), |_| {}, |_| {})
             .unwrap();
         assert_eq!(warm.fresh, 0, "warm re-run performs zero fresh analyses");
         assert_eq!(warm.cache_hits, 10);
@@ -353,17 +367,11 @@ mod tests {
                 "flaky".into()
             }
         }
-        let dir = tmp_dir("flaky");
-        let mut cp =
-            Checkpoint::create(&dir, Manifest::new(&ethainter::Config::default(), "f".into()))
-                .unwrap();
         let mut errors = Vec::new();
-        let summary = Scanner::default()
-            .scan(Flaky(0), &mut cp, |_| {}, |e| errors.push(e))
-            .unwrap();
+        let summary =
+            Scanner::default().scan(Flaky(0), None, |_| {}, |e| errors.push(e)).unwrap();
         assert_eq!(summary.source_errors, 1);
         assert_eq!(summary.fresh, 1);
         assert_eq!(errors, vec!["unreadable".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

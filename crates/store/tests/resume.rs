@@ -50,7 +50,7 @@ fn interrupted_then_resumed_scan_matches_cold_run_over_500_contracts() {
     let cold_dir = tmp_dir("cold");
     let mut cold_cp = Checkpoint::create(&cold_dir, manifest.clone()).unwrap();
     let cold = scanner(Some(&mut cache))
-        .scan(source(), &mut cold_cp, |_| {}, |_| {})
+        .scan(source(), Some(&mut cold_cp), |_| {}, |_| {})
         .unwrap();
     assert_eq!(cold.seen, POPULATION);
     assert_eq!(cold.fresh, POPULATION, "cold run analyzes everything");
@@ -65,7 +65,7 @@ fn interrupted_then_resumed_scan_matches_cold_run_over_500_contracts() {
     {
         let mut cp = Checkpoint::create(&kill_dir, manifest.clone()).unwrap();
         let partial = Scanner { limit: Some(200), ..scanner(None) }
-            .scan(source(), &mut cp, |_| {}, |_| {})
+            .scan(source(), Some(&mut cp), |_| {}, |_| {})
             .unwrap();
         assert!(partial.interrupted);
         assert_eq!(partial.recorded(), 200, "limit interrupts exactly");
@@ -75,7 +75,7 @@ fn interrupted_then_resumed_scan_matches_cold_run_over_500_contracts() {
     // Resume from the on-disk log alone and finish the stream.
     let mut cp = Checkpoint::resume(&kill_dir, &manifest).unwrap();
     assert_eq!(cp.preloaded(), 200, "resume replays the recorded prefix");
-    let resumed = scanner(None).scan(source(), &mut cp, |_| {}, |_| {}).unwrap();
+    let resumed = scanner(None).scan(source(), Some(&mut cp), |_| {}, |_| {}).unwrap();
     assert_eq!(resumed.skipped_completed, 200, "completed work is not redone");
     assert_eq!(resumed.fresh, POPULATION - 200);
     assert_eq!(cp.completed_count(), POPULATION);
@@ -90,7 +90,7 @@ fn interrupted_then_resumed_scan_matches_cold_run_over_500_contracts() {
     let warm_dir = tmp_dir("warm");
     let mut warm_cp = Checkpoint::create(&warm_dir, manifest).unwrap();
     let warm = scanner(Some(&mut cache))
-        .scan(source(), &mut warm_cp, |_| {}, |_| {})
+        .scan(source(), Some(&mut warm_cp), |_| {}, |_| {})
         .unwrap();
     assert_eq!(warm.fresh, 0, "warm re-run performs zero fresh analyses");
     assert_eq!(warm.cache_hits, POPULATION, "every contract is a cache hit");
@@ -114,36 +114,29 @@ fn interrupted_then_resumed_scan_matches_cold_run_over_500_contracts() {
 #[test]
 fn reopened_cache_survives_process_restart() {
     // Simulate a restart: populate the store, drop it, reopen from disk,
-    // and warm-scan — the segment index alone must carry the hits.
-    let manifest = Manifest::new(&ethainter::Config::default(), "restart".into());
+    // and warm-scan — the segment index alone must carry the hits. No
+    // checkpoint: the cache is the only persistent state in play.
     let cache_dir = tmp_dir("restart-cache");
     let items: Vec<(String, Vec<u8>)> =
         (0..20).map(|i| (format!("c{i}"), vec![0x60, i as u8, 0x00])).collect();
 
     {
         let mut cache = ResultStore::open(&cache_dir).unwrap();
-        let dir = tmp_dir("restart-cold");
-        let mut cp = Checkpoint::create(&dir, manifest.clone()).unwrap();
         let summary = scanner(Some(&mut cache))
-            .scan(store::MemorySource::new(items.clone()), &mut cp, |_| {}, |_| {})
+            .scan(store::MemorySource::new(items.clone()), None, |_| {}, |_| {})
             .unwrap();
         assert_eq!(summary.fresh, 20);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     let mut cache = ResultStore::open(&cache_dir).unwrap();
     assert_eq!(cache.len(), 20, "segment replay rebuilds the index");
-    let dir = tmp_dir("restart-warm");
-    let mut cp = Checkpoint::create(&dir, manifest).unwrap();
     let summary = scanner(Some(&mut cache))
-        .scan(store::MemorySource::new(items), &mut cp, |_| {}, |_| {})
+        .scan(store::MemorySource::new(items), None, |_| {}, |_| {})
         .unwrap();
     assert_eq!(summary.fresh, 0);
     assert_eq!(summary.cache_hits, 20);
     assert_eq!(cache.stats().total_misses, 20, "lifetime counters span the reopen");
-    for d in [cache_dir, dir] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 #[test]
@@ -186,7 +179,7 @@ fn witness_mode_changes_no_persistent_artifact() {
     let mut cp =
         Checkpoint::create(&plain_dir, Manifest::new(&plain, src().descriptor())).unwrap();
     Scanner { analysis: plain, ..scanner(Some(&mut plain_cache)) }
-        .scan(src(), &mut cp, |_| {}, |_| {})
+        .scan(src(), Some(&mut cp), |_| {}, |_| {})
         .unwrap();
     let plain_verdicts = cp.merged_verdicts_jsonl();
     let plain_segment = segment(&plain_cache_dir);
@@ -200,7 +193,7 @@ fn witness_mode_changes_no_persistent_artifact() {
     Scanner { analysis: with_witness, ..scanner(Some(&mut wit_cache)) }
         .scan(
             src(),
-            &mut cp2,
+            Some(&mut cp2),
             |o| {
                 if let driver::Status::Analyzed { witness: Some(w), findings, .. } = &o.status {
                     saw_witness = true;
