@@ -2,18 +2,20 @@
 //!
 //! Generalizes the constant facts: every variable gets a `[lo, hi]`
 //! envelope of its possible runtime values, computed as a sparse fixpoint
-//! over def sites (block parameters join the envelopes bound by every
-//! predecessor). The payoff downstream is *branch pruning*: a `JumpI`
-//! whose condition is proven always-true or always-false has a dead
-//! successor edge, and `ethainter::analysis` uses those dead edges to
-//! shrink the reachable region a guard fails to protect (fewer
-//! false-positive findings behind statically-decided branches).
+//! over the def sites of the shared [`DefUse`] index (block parameters
+//! join the envelopes bound by every predecessor). The payoff downstream
+//! is *branch pruning*: a `JumpI` whose condition is proven always-true
+//! or always-false has a dead successor edge, and `ethainter::analysis`
+//! uses those dead edges to shrink the reachable region a guard fails to
+//! protect (fewer false-positive findings behind statically-decided
+//! branches).
 //!
 //! Widening: intervals over `U256` have essentially unbounded ascending
 //! chains (loop counters grow the hull every sweep), so after a few
 //! stable sweeps any still-changing variable is widened straight to ⊤ =
 //! `[0, U256::MAX]`. ⊤ is absorbing, so convergence is then immediate.
 
+use crate::defuse::DefUse;
 use crate::tac::{BlockId, Op, Program, Var};
 use evm::opcode::Opcode;
 use evm::U256;
@@ -90,27 +92,24 @@ impl Intervals {
 /// counter and goes straight to ⊤.
 const STABLE_SWEEPS: usize = 8;
 
-/// Runs the analysis over `p`.
-pub fn analyze(p: &Program) -> Intervals {
+/// Runs the analysis over `p`, reading def sites from `du` (an index
+/// of `p` itself).
+pub fn analyze(p: &Program, du: &DefUse) -> Intervals {
     let n = p.n_vars as usize;
+    debug_assert_eq!(du.n_vars(), n, "def-use index built for another program");
     let mut iv: Vec<Option<Interval>> = vec![None; n];
-    let mut defs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for s in p.iter_stmts() {
-        if let Some(d) = s.def {
-            defs[d.0 as usize].push(s.id.0);
-        }
-    }
 
     let mut sweep = 0usize;
     loop {
         let mut changed = false;
         for v in 0..n {
-            if defs[v].is_empty() {
+            let defs = du.defs(Var(v as u32));
+            if defs.is_empty() {
                 continue;
             }
             let mut joined: Option<Interval> = None;
-            for &d in &defs[v] {
-                let s = &p.stmts[d as usize];
+            for &d in defs {
+                let s = p.stmt(d);
                 let this = transfer(&s.op, &s.uses, &iv);
                 joined = match (joined, this) {
                     (None, x) => x,

@@ -22,8 +22,9 @@
 //!
 //! Entry point: [`optimize`] builds one [`DefUse`] index, runs constprop
 //! and then DCE over it once each, and reports [`PassStats`]; the
-//! analysis passes ([`intervals::analyze`], [`storage::summarize`],
-//! [`validate::validate`]) are pure queries callers invoke directly.
+//! analysis passes ([`intervals::analyze`] and [`storage::summarize`]
+//! over a caller-built [`DefUse`], and [`validate::validate`]) are pure
+//! queries callers invoke directly.
 
 pub mod constprop;
 pub mod dce;

@@ -1,4 +1,4 @@
-//! Golden digest of the optimized IR.
+//! Golden digests of the optimized IR and of its interval analysis.
 //!
 //! Pins the exact text of `optimize`'s output (`Program`'s `Display`:
 //! every block, parameter, statement and edge) for 20 small and 20
@@ -7,9 +7,16 @@
 //! statement of the optimized IR of these contracts fails here, so a
 //! rewrite of the pass pipeline has to be byte-for-byte equivalent or
 //! re-baseline this table on purpose.
+//!
+//! The same 40 optimized programs also pin `intervals::analyze`: every
+//! variable's envelope and every dead edge, one digest per population.
+//! A change to how the analysis indexes the IR must leave every
+//! interval as it was.
 
 use corpus::{Population, PopulationConfig, Scale};
-use decompiler::{decompile, optimize, PassConfig};
+use decompiler::passes::intervals;
+use decompiler::{decompile, optimize, DefUse, PassConfig, Program};
+use std::fmt::Write;
 
 /// `(scale, seed)` → digests of the first 20 contracts, in order.
 const GOLDEN: [(Scale, u64, [&str; 20]); 2] = [
@@ -59,23 +66,57 @@ const GOLDEN: [(Scale, u64, [&str; 20]); 2] = [
     ]),
 ];
 
-fn optimized_ir_digest(bytecode: &[u8]) -> String {
-    let mut p = decompile(bytecode);
-    optimize(&mut p, &PassConfig::default());
-    evm::keccak256(p.to_string().as_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+/// `(scale, seed)` → one digest of the interval analysis of the same
+/// 20 optimized programs as [`GOLDEN`].
+const GOLDEN_INTERVALS: [(Scale, u64, &str); 2] = [
+    (Scale::Small, 42, "158dde6b0d570b8a6f0b0af2c1e8f4ca2cde94d48ef609146a2bafc4d20b9a8e"),
+    (Scale::Realistic, 7, "a6a6ac193cae81c043dedbf20213262796552f39376bf4a7433b6734c668acb5"),
+];
+
+fn hex_digest(text: &str) -> String {
+    evm::keccak256(text.as_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The first 20 contracts of a population, decompiled and optimized.
+fn optimized_programs(scale: Scale, seed: u64) -> Vec<Program> {
+    let pop = Population::generate(&PopulationConfig { size: 20, seed, scale, ..Default::default() });
+    pop.contracts
+        .iter()
+        .map(|c| {
+            let mut p = decompile(&c.bytecode);
+            optimize(&mut p, &PassConfig::default());
+            p
+        })
+        .collect()
 }
 
 #[test]
 fn optimized_ir_matches_golden_digests() {
     for (scale, seed, want) in GOLDEN {
-        let pop = Population::generate(&PopulationConfig {
-            size: want.len(),
-            seed,
-            scale,
-            ..Default::default()
-        });
         let got: Vec<String> =
-            pop.contracts.iter().map(|c| optimized_ir_digest(&c.bytecode)).collect();
+            optimized_programs(scale, seed).iter().map(|p| hex_digest(&p.to_string())).collect();
         assert_eq!(got, want, "{scale:?} seed {seed}: optimized IR drifted from the golden table");
+    }
+}
+
+#[test]
+fn intervals_match_golden_digests() {
+    for (scale, seed, want) in GOLDEN_INTERVALS {
+        let mut text = String::new();
+        for (i, p) in optimized_programs(scale, seed).iter().enumerate() {
+            let iv = intervals::analyze(p, &DefUse::build(p));
+            writeln!(text, "contract {i}").unwrap();
+            for (v, env) in iv.vars.iter().enumerate() {
+                match env {
+                    Some(e) => writeln!(text, "v{v} {:x} {:x}", e.lo, e.hi).unwrap(),
+                    None => writeln!(text, "v{v} -").unwrap(),
+                }
+            }
+            for (b, succ) in &iv.dead_edges {
+                writeln!(text, "dead {} {succ}", b.0).unwrap();
+            }
+        }
+        let got = hex_digest(&text);
+        assert_eq!(got, want, "{scale:?} seed {seed}: intervals drifted from the golden digest");
     }
 }

@@ -69,6 +69,11 @@ fn run_constprop(p: &mut Program) -> usize {
     constprop::propagate(p, &du)
 }
 
+/// Runs interval analysis over a fresh def-use index.
+fn run_intervals(p: &Program) -> intervals::Intervals {
+    intervals::analyze(p, &DefUse::build(p))
+}
+
 // ---- Dead-code elimination --------------------------------------------
 
 #[test]
@@ -288,7 +293,7 @@ fn intervals_prove_masked_value_bounds() {
     t.stmt(0, Op::Const(U256::from(0x100u64)), Some(bound), vec![]);
     t.stmt(0, Op::Bin(Opcode::Lt), Some(cmp), vec![masked, bound]);
     t.stmt(0, Op::Stop, None, vec![]);
-    let iv = intervals::analyze(&t.p);
+    let iv = run_intervals(&t.p);
     assert_eq!(iv.of(masked).hi, U256::from(0xffu64));
     assert_eq!(iv.of(cmp).singleton(), Some(U256::ONE), "Lt must be proven true");
 }
@@ -304,7 +309,7 @@ fn intervals_kill_statically_decided_branches() {
     t.edge(0, 2); // fallthrough
     t.stmt(1, Op::Stop, None, vec![]);
     t.stmt(2, Op::Stop, None, vec![]);
-    let iv = intervals::analyze(&t.p);
+    let iv = run_intervals(&t.p);
     assert_eq!(iv.dead_edges, vec![(BlockId(0), 1)]);
 
     // And the mirror: constant-false kills the taken edge.
@@ -316,7 +321,7 @@ fn intervals_kill_statically_decided_branches() {
     f.edge(0, 2);
     f.stmt(1, Op::Stop, None, vec![]);
     f.stmt(2, Op::Stop, None, vec![]);
-    assert_eq!(intervals::analyze(&f.p).dead_edges, vec![(BlockId(0), 0)]);
+    assert_eq!(run_intervals(&f.p).dead_edges, vec![(BlockId(0), 0)]);
 }
 
 #[test]
@@ -341,7 +346,7 @@ fn intervals_widen_loop_counters_instead_of_diverging() {
     t.edge(1, 1);
     t.edge(1, 2);
     t.stmt(2, Op::Stop, None, vec![]);
-    let iv = intervals::analyze(&t.p);
+    let iv = run_intervals(&t.p);
     assert_eq!(iv.of(i).lo, U256::ZERO);
     assert_eq!(iv.of(i).hi, U256::MAX, "unstable loop counter must widen to top");
 }

@@ -98,6 +98,11 @@ impl<'a> AnalysisArtifacts<'a> {
         let sp_index = telemetry::span("ethainter.index_build");
 
         let dom = Dominators::compute(p);
+        // The one def-use index of the optimized program: interval
+        // analysis reads it here, then it moves into `Ctx` for the
+        // constants, `DS`/`DSA`, guards, the worklist engine and the
+        // storage and effect summaries.
+        let du = DefUse::build(p);
 
         // Range-proven branch pruning: interval analysis proves some
         // JumpI edges never taken; blocks only reachable through dead
@@ -105,7 +110,7 @@ impl<'a> AnalysisArtifacts<'a> {
         // This monotonically refines ReachableByAttacker (strictly fewer
         // findings behind statically-decided branches).
         let (live_block, n_dead_edges) = if cfg.range_guards {
-            let iv = decompiler::passes::intervals::analyze(p);
+            let iv = decompiler::passes::intervals::analyze(p, &du);
             let dead: HashSet<(u32, usize)> =
                 iv.dead_edges.iter().map(|&(b, i)| (b.0, i)).collect();
             let mut live = vec![false; p.blocks.len()];
@@ -129,7 +134,7 @@ impl<'a> AnalysisArtifacts<'a> {
 
         let mut ctx = Ctx {
             p,
-            du: DefUse::build(p),
+            du,
             consts: vec![None; p.n_vars as usize],
             ds: vec![false; p.n_vars as usize],
             dsa: vec![false; p.n_vars as usize],

@@ -3,11 +3,13 @@
 //! Built once per program (counted into the `index_build` timing phase)
 //! and immutable during the fixpoint: for every kind of state change the
 //! rules can make, an index answers "which statements (or guards) could
-//! now fire?" so the engine re-evaluates exactly those. The def→use-site
-//! half lives in [`decompiler::DefUse`]; this module adds the
-//! analysis-specific edges — constant-offset memory def-use, storage
-//! slot/mapping → load-site maps, guard trigger maps, and the per-block
-//! guard cover counts behind delta `ReachableByAttacker` updates.
+//! now fire?" so the engine re-evaluates exactly those. Nothing the IR
+//! already indexes is copied here: the def→use sites are the analysis
+//! context's one [`decompiler::DefUse`], and a block flipping to
+//! attacker-reachable re-pushes the IR's own `Block::stmts`. This
+//! module adds only the analysis-specific edges — constant-offset
+//! memory def-use, storage slot/mapping → load-site maps, and guard
+//! trigger maps.
 //!
 //! Every index here is a **dense `Vec` keyed by an interned atom**, not
 //! a hash map keyed by a 256-bit constant or a `Var`: storage slots are
@@ -65,9 +67,6 @@ pub(crate) struct SparseIndexes {
     /// `DS`/constant values with no prior taint; `ORIGIN`/`TIMESTAMP`
     /// reads introduce the detector-suite-v2 flavors).
     pub seeds: Vec<StmtId>,
-    /// Per block: statements, for bulk re-push when the block flips to
-    /// attacker-reachable.
-    pub block_stmts: Vec<Vec<StmtId>>,
 }
 
 impl SparseIndexes {
@@ -96,10 +95,8 @@ impl SparseIndexes {
             guards_by_membership: vec![Vec::new(); n_slots],
             guards_slot_kind: Vec::new(),
             seeds: Vec::new(),
-            block_stmts: vec![Vec::new(); p.blocks.len()],
         };
         for s in p.iter_stmts() {
-            ix.block_stmts[s.block.0 as usize].push(s.id);
             match &s.op {
                 Op::MLoad | Op::MStore => {
                     if let Some(off) = prep.ctx.consts[s.uses[0].0 as usize] {

@@ -626,7 +626,6 @@ impl<'a, 'b> Sparse<'a, 'b> {
             return;
         }
         let prep = self.prep;
-        let idx = self.idx;
         if !guard_defeated(&prep.guards[g], &prep.guard_atoms[g], self.st, self.cfg) {
             return;
         }
@@ -659,7 +658,7 @@ impl<'a, 'b> Sparse<'a, 'b> {
                     // Everything in the block sees a new rba bit: its
                     // CallDataLoads, taint propagation, and SStore rules
                     // may all fire now.
-                    for &sid in &idx.block_stmts[bi] {
+                    for &sid in &prep.ctx.p.blocks[bi].stmts {
                         push(&mut self.queue, &mut self.queued, sid);
                     }
                 }
