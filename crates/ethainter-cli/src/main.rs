@@ -158,8 +158,11 @@ context (trace id == job id): GET /jobs/<id>/trace returns its span
 tree, GET /events[?since=<seq>] long-polls the structured event feed
 (lifecycle, slow jobs, cache errors), and jobs slower than the live
 p99 land in that feed as slow_job events with their phase breakdown.
---max-done n (default 4096) bounds retained completed records — the
-oldest age out (GET → 410 Gone) so week-long daemons stay flat.
+--max-done n (default 65536) bounds retained completed records — the
+oldest age out (GET → 410 Gone) so week-long daemons stay flat. A
+cache hit takes about 1 ms, so the default holds about half a minute
+of hits. The span store keeps fewer traces (8192), so /trace can
+answer 410 for a job whose status still answers 200.
 --metrics-out f persists a final metric-registry snapshot (JSON plus
 a .prom sibling) during the SIGINT drain, same writer as batch.
 

@@ -5,7 +5,7 @@
 //! path: `Queued → Running → Done`. The registry is the single source
 //! of truth `GET /jobs/<id>` reads. Completed records are retained so a
 //! poller that comes back late still finds its verdict — but only up to
-//! a bound (`max_done`, default 4096): a week-long daemon must not grow
+//! a bound (`max_done`, default 65,536): a week-long daemon must not grow
 //! without limit, so the oldest `Done` records are FIFO-evicted beyond
 //! the bound (counted in `ethainter_server_jobs_evicted_total`) and a
 //! `GET` on an evicted id answers `410 Gone` rather than `404` — the
@@ -139,8 +139,11 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Default bound on retained `Done` records (`--max-done`).
-    pub const DEFAULT_MAX_DONE: usize = 4096;
+    /// Default bound on retained `Done` records (`--max-done`). A cache
+    /// hit completes in about 1 ms, so a busy daemon finishes thousands
+    /// of jobs a second; the bound keeps a late poller's verdict for tens
+    /// of seconds at that rate.
+    pub const DEFAULT_MAX_DONE: usize = 65_536;
 
     /// An empty registry retaining at most `max_done` completed
     /// records (min 1). Its ids continue the process-wide sequence.

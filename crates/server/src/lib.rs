@@ -26,7 +26,9 @@
 //!   requested).
 //! - `GET /jobs/<id>/trace` — [`api::TraceBody`]: the job's complete
 //!   span tree (trace id == job id), assembled from the per-trace span
-//!   store with self-time per phase; 410 after eviction.
+//!   store with self-time per phase; 410 after the job's record or its
+//!   trace was evicted (the span store keeps fewer traces than the
+//!   registry keeps records).
 //! - `GET /events[?since=<seq>[&wait_ms=<ms>]]` — [`api::EventsBody`]:
 //!   the structured event feed (lifecycle, slow jobs, cache errors).
 //!   With `since`, long-polls until something newer arrives.
@@ -627,7 +629,9 @@ fn job_status(shared: &Arc<Shared>, stream: &mut TcpStream, id_text: &str) {
 /// `GET /jobs/<id>/trace`: the job's span tree, assembled on demand
 /// from the per-trace store. Served at any lifecycle state — a trace
 /// fetched mid-run is a prefix of the final tree, and the `state`
-/// field says which you got.
+/// field says which you got. Every job's trace is retained when it is
+/// created, so a missing one was evicted by the span store's own bound:
+/// 410, like a job whose record aged out.
 fn job_trace(shared: &Arc<Shared>, stream: &mut TcpStream, id_text: &str) {
     let id = match JobId::parse(id_text) {
         Ok(id) => id,
@@ -655,8 +659,14 @@ fn job_trace(shared: &Arc<Shared>, stream: &mut TcpStream, id_text: &str) {
             return;
         }
     };
-    let records = telemetry::trace::spans_for(telemetry::trace::TraceId(id.0))
-        .unwrap_or_default();
+    let Some(records) = telemetry::trace::spans_for(telemetry::trace::TraceId(id.0)) else {
+        http::respond_json(
+            stream,
+            410,
+            &api::ErrorBody::json(format!("job {id} is {state} but its trace was evicted")),
+        );
+        return;
+    };
     let body = api::TraceBody {
         id: id.to_string(),
         state: state.to_string(),

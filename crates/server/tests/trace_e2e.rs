@@ -314,6 +314,54 @@ fn evicted_jobs_answer_410_on_status_and_trace_routes() {
     assert!(report.drained_cleanly);
 }
 
+/// The span store keeps fewer traces (8192) than the registry keeps
+/// `Done` records (65,536 by default), so a job can outlive its trace:
+/// its status still answers 200, and its trace route answers 410 rather
+/// than an empty tree.
+#[test]
+fn job_whose_trace_was_evicted_answers_410_on_the_trace_route() {
+    let _serial = lock_serial();
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let accepted = submit(&addr, &composite_contracts(1)[0], "trace-evict");
+    let done = client::await_job(&addr, &accepted.id, Duration::from_secs(60)).unwrap();
+    assert_eq!(done.state, "done");
+    let trace = client::request(&addr, "GET", &format!("/jobs/{}/trace", accepted.id), None);
+    assert_eq!(trace.unwrap().status, 200, "a fresh job's trace is served");
+
+    // Retaining 8192 other traces pushes the job's trace out of the store.
+    let others: Vec<TraceId> = (0..8192).map(|_| telemetry::trace::mint()).collect();
+    for &other in &others {
+        telemetry::trace::retain(other);
+    }
+    let status = client::request(&addr, "GET", &format!("/jobs/{}", accepted.id), None).unwrap();
+    assert_eq!(
+        status.status, 200,
+        "the record is still retained: {}",
+        status.body
+    );
+    let trace =
+        client::request(&addr, "GET", &format!("/jobs/{}/trace", accepted.id), None).unwrap();
+    assert_eq!(
+        trace.status, 410,
+        "an evicted trace is gone: {}",
+        trace.body
+    );
+    let err: api::ErrorBody = serde_json::from_str(&trace.body).unwrap();
+    assert!(err.error.contains("evicted"), "{}", err.error);
+
+    for other in others {
+        telemetry::trace::discard(other);
+    }
+    let report = handle.shutdown();
+    assert!(report.drained_cleanly);
+}
+
 /// A contract heavy enough to dwarf everything else this test binary
 /// analyzes: the slow-job detector compares against the live p99, so
 /// the induced outlier must dominate whatever history exists.

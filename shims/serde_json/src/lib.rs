@@ -8,6 +8,8 @@
 //! The writer escapes control characters, quotes, and backslashes; the
 //! reader is a straightforward recursive-descent parser accepting the
 //! full JSON grammar (including `\uXXXX` escapes, with surrogate pairs).
+//! Parsing is linear in the input: a string's unescaped runs are copied
+//! as slices of the input, which `&str` has already validated as UTF-8.
 
 #![warn(missing_docs)]
 
@@ -139,13 +141,19 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input, kept as `&str` so string runs are copied as slices.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 /// Parses JSON text into a [`Value`].
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        src: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -268,73 +276,84 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next `"` or `\`
+            // in one go. Both delimiters are ASCII, so the run ends on a
+            // char boundary of the (already valid UTF-8) input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(Error::custom("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pair?
-                            let c = if (0xD800..0xDC00).contains(&cp)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                let combined = 0x10000
-                                    + ((cp - 0xD800) << 10)
-                                    + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| {
-                                Error::custom("invalid \\u escape")
-                            })?);
-                            continue;
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "bad escape {:?}",
-                                other.map(|b| b as char)
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 character (multi-byte aware).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.escape(&mut out)?, // the run stopped at `\`
             }
         }
     }
 
+    /// Decodes one backslash escape at `pos` into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // A high surrogate pairs only with a following low one.
+                let c = if (0xD800..0xDC00).contains(&cp)
+                    && self.bytes[self.pos..].starts_with(b"\\u")
+                {
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if (0xDC00..=0xDFFF).contains(&lo) {
+                        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                out.push(c.ok_or_else(|| Error::custom("invalid \\u escape"))?);
+                return Ok(());
+            }
+            other => {
+                return Err(Error::custom(format!(
+                    "bad escape {:?}",
+                    other.map(|b| b as char)
+                )))
+            }
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads exactly four ASCII hex digits.
     fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::custom("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+        let mut cp = 0;
+        for &b in digits {
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| Error::custom("bad \\u escape"))?;
+            cp = cp * 16 + d;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::custom("bad \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16)
-            .map_err(|_| Error::custom("bad \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
@@ -355,8 +374,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("bad number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -407,6 +425,135 @@ mod tests {
     fn parses_unicode_escapes() {
         let back: Value = from_str(r#""A😀""#).unwrap();
         assert_eq!(back, Value::Str("A😀".into()));
+        let back: Value = from_str(r#""\u0041\u00e9\uD83D\uDE00\ud83d\ude00""#).unwrap();
+        assert_eq!(back, Value::Str("A\u{e9}\u{1F600}\u{1F600}".into()));
+    }
+
+    #[test]
+    fn high_surrogate_needs_a_low_surrogate_escape_after_it() {
+        // A non-surrogate, a second high surrogate, and a code point just
+        // past the low range: none completes the pair.
+        for text in [
+            r#""\uD800\u0041""#,
+            r#""\uD800\uD800""#,
+            r#""\uDBFF\uE000""#,
+        ] {
+            let err = from_str::<Value>(text).unwrap_err().to_string();
+            assert!(err.contains("invalid \\u escape"), "{text}: {err}");
+        }
+        // A lone surrogate of either half is no char either.
+        for text in [r#""\uD800""#, r#""\uD800x""#, r#""\uDC00""#] {
+            assert!(from_str::<Value>(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        for text in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#] {
+            let err = from_str::<Value>(text).unwrap_err().to_string();
+            assert!(err.contains("bad \\u escape"), "{text}: {err}");
+        }
+        let err = from_str::<Value>(r#""\u004"#).unwrap_err().to_string();
+        assert!(err.contains("truncated \\u escape"), "{err}");
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_decode_exactly() {
+        let back: Value = from_str(r#""é\n😀\"x""#).unwrap();
+        assert_eq!(back, Value::Str("é\n😀\"x".into()));
+        // Runs of 2-, 3- and 4-byte characters, each ended by an escape.
+        let back: Value = from_str(r#"["éé\t€€\\😀😀\/", "\"ß中🦀"]"#).unwrap();
+        assert_eq!(
+            back,
+            Value::Array(vec![
+                Value::Str("éé\t€€\\😀😀/".into()),
+                Value::Str("\"ß中🦀".into())
+            ])
+        );
+    }
+
+    #[test]
+    fn escape_only_and_empty_strings_decode_exactly() {
+        let back: Value = from_str(r#""\"\\\/\b\f\n\r\t\u0000""#).unwrap();
+        assert_eq!(back, Value::Str("\"\\/\u{8}\u{c}\n\r\t\u{0}".into()));
+        assert_eq!(
+            from_str::<Value>(r#""""#).unwrap(),
+            Value::Str(String::new())
+        );
+        assert_eq!(
+            from_str::<Value>(r#"{"":""}"#).unwrap(),
+            Value::Object(vec![(String::new(), Value::Str(String::new()))])
+        );
+    }
+
+    #[test]
+    fn malformed_strings_are_rejected() {
+        assert!(from_slice::<Value>(b"\"\xff\"").is_err());
+        assert!(from_slice::<Value>(b"\"ok\xc3\"").is_err());
+        let err = from_str::<Value>(r#""abc"#).unwrap_err().to_string();
+        assert!(err.contains("unterminated string"), "{err}");
+        for text in [r#""\x""#, r#""a\"#] {
+            let err = from_str::<Value>(text).unwrap_err().to_string();
+            assert!(err.contains("bad escape"), "{text}: {err}");
+        }
+    }
+
+    /// A submission body at the daemon's default `max_body` (4 MiB)
+    /// parses in linear time: a per-character rescan of the rest of the
+    /// input would take minutes here.
+    #[test]
+    fn four_mib_string_parses_to_the_same_value() {
+        let hex: String = (0..4 << 20)
+            .map(|i| b"0123456789abcdef"[i % 16] as char)
+            .collect();
+        let body = Value::Object(vec![("bytecode".into(), Value::Str(hex))]);
+        let text = to_string(&body).unwrap();
+        assert!(text.len() > 4 << 20);
+        let start = std::time::Instant::now();
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back, body);
+        assert!(start.elapsed().as_secs() < 5, "took {:?}", start.elapsed());
+    }
+
+    /// One character drawn from every class the string scanner treats
+    /// differently: ASCII, 2-, 3- and 4-byte UTF-8, the two delimiters,
+    /// and control characters the writer emits as escapes.
+    fn any_char() -> impl proptest::Strategy<Value = char> {
+        use proptest::prelude::*;
+        let cp = |lo: u32, hi: u32| (lo..hi).prop_map(|c| char::from_u32(c).unwrap());
+        prop_oneof![
+            cp(0x20, 0x7f),
+            cp(0x80, 0x800),
+            cp(0x800, 0xD800),
+            cp(0xE000, 0x10000),
+            cp(0x10000, 0x110000),
+            Just('"'),
+            Just('\\'),
+            cp(0, 0x20),
+        ]
+    }
+
+    /// `s` with every character written as `\uXXXX` escapes (UTF-16, so
+    /// astral characters become surrogate pairs).
+    fn all_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for unit in s.encode_utf16() {
+            let _ = write!(out, "\\u{unit:04X}");
+        }
+        out.push('"');
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip(chars in proptest::collection::vec(any_char(), 0..48)) {
+            let s: String = chars.into_iter().collect();
+            let v = Value::Str(s.clone());
+            proptest::prop_assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v.clone());
+            proptest::prop_assert_eq!(from_str::<Value>(&all_escaped(&s)).unwrap(), v);
+        }
     }
 
     #[test]
