@@ -62,7 +62,7 @@ fn main() {
             }
         }
         let er = analyze_bytecode(&c.bytecode, &Config::default());
-        if er.timed_out {
+        if er.timed_out || er.decompile_failed.is_some() {
             eth_timeouts += 1;
         }
         let rows = [

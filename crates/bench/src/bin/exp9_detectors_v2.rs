@@ -34,7 +34,7 @@ fn main() {
         result.elapsed,
         result.jobs,
         result.elapsed.as_secs_f64() * 1e3 / size as f64,
-        result.reports.iter().filter(|r| r.timed_out).count(),
+        result.reports.iter().filter(|r| r.timed_out || r.decompile_failed.is_some()).count(),
     );
 
     let mut rows: Vec<Vec<String>> = Vec::with_capacity(Vuln::ALL.len());

@@ -17,8 +17,10 @@ fn verdict(r: &Report) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<u
     (r.findings.clone(), r.stats.facts, r.defeated_guards.clone(), r.timed_out)
 }
 
-/// Decompiles `code` the way `analyze_bytecode` does, so `optimize_ir`
-/// participates: the engines must agree on raw and optimized IR alike.
+/// Decompiles and (with `optimize_ir`) optimizes `code` as
+/// `analyze_bytecode` does for a complete program, minus its lint and
+/// telemetry, so `optimize_ir` participates: the engines must agree on
+/// raw and optimized IR alike.
 fn prepared(code: &[u8], cfg: &Config) -> decompiler::Program {
     let mut p = decompiler::decompile(code);
     if cfg.optimize_ir {

@@ -18,7 +18,10 @@
 //!   call sites vs. storage-write sites ordered via the dominator
 //!   tree), the substrate of the detector suite v2 sink scans.
 //! * [`validate`] — the IR well-formedness linter, run at the end of
-//!   every debug-build decompilation and by `ethainter lint`.
+//!   every debug-build decompilation, by `ethainter lint`, and once per
+//!   complete contract by the analyzer's front end
+//!   (`ethainter::analyze_bytecode`, on the raw output before the
+//!   passes; violations land in `Report::lint`).
 //!
 //! Entry point: [`optimize`] builds one [`DefUse`] index, runs constprop
 //! and then DCE over it once each, and reports [`PassStats`]; the

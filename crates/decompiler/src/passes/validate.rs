@@ -12,7 +12,11 @@
 //! cutoffs and stack underflows legitimately leave blocks unterminated.
 //! [`decompile_with_limits`](crate::builder::decompile_with_limits)
 //! asserts emptiness under `debug_assertions` for clean programs only;
-//! the CLI `lint` subcommand reports whatever it finds.
+//! the CLI `lint` subcommand reports whatever it finds. In production
+//! the lint runs in one place: `ethainter::analyze_bytecode` validates
+//! every complete program's raw output before the passes (an incomplete
+//! one is a decompile failure and is never linted), and the violations
+//! ride on `Report::lint` into the batch and daemon records.
 
 use crate::tac::{BlockId, Op, Program};
 use evm::opcode::Opcode;

@@ -426,7 +426,7 @@ where
 /// Folds one isolated status run into a flat [`Outcome`], counting the
 /// isolation layer's own verdicts (watchdog expiry, contained panic)
 /// in the telemetry registry; the cooperative in-analysis paths count
-/// themselves in [`analyze_one`]. Shared by the batch fold and the
+/// themselves in [`ethainter::analyze_bytecode`]. Shared by the batch fold and the
 /// single-job server path so both classify identically.
 fn fold_outcome(o: IsolatedOutcome<Status>) -> Outcome {
     telemetry::metrics::histogram("ethainter_contract_elapsed_ms").observe(o.elapsed_ms);
@@ -539,68 +539,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Analyzes one bytecode blob into a [`Status`], honoring any
-/// cooperative deadline installed on the current thread.
-///
-/// This is the per-contract unit [`analyze_batch`] runs inside each
-/// sandbox; exposed so callers can reuse the exact same classification
-/// (decompile-failed vs. timed-out vs. analyzed) without the pool.
+/// Analyzes one bytecode blob into a [`Status`] — a projection of
+/// [`ethainter::analyze_bytecode`]'s report — honoring any deadline on
+/// this thread. The per-contract unit [`analyze_batch`] runs in each
+/// sandbox, exposed for callers without the pool.
 pub fn analyze_one(bytecode: &[u8], config: &ethainter::Config) -> Status {
-    let sp_dec = telemetry::span("ethainter.decompile");
-    let mut program = decompiler::decompile(bytecode);
-    let decompile_us = sp_dec.finish_us();
-    if program.incomplete {
-        telemetry::metrics::counter("ethainter_contracts_decompile_failed_total").inc();
-        let reason = program
-            .warnings
-            .first()
-            .cloned()
-            .unwrap_or_else(|| "decompile budget exhausted".to_string());
+    let report = ethainter::analyze_bytecode(bytecode, config);
+    if let Some(reason) = report.decompile_failed {
         return Status::DecompileFailed { reason };
     }
-    // Lint the raw decompiler output (the passes assume and preserve the
-    // invariants, so violations always originate in the decompiler).
-    let lint = decompiler::validate(&program);
-    let sp_pass = telemetry::span("ethainter.passes");
-    if config.optimize_ir {
-        decompiler::optimize(&mut program, &decompiler::PassConfig::default());
-    }
-    let passes_us = sp_pass.finish_us();
-    let report = ethainter::analyze(&program, config);
     if report.timed_out {
-        telemetry::metrics::counter("ethainter_contracts_timed_out_total").inc();
         return Status::TimedOut;
     }
-    let mut timings = report.stats.timings;
-    timings.decompile_us = decompile_us;
-    timings.passes_us = passes_us;
-    // Re-establish the `total_us == phase_sum()` invariant after adding
-    // the two front-end phases (the scanner re-stamps once more when it
-    // adds `cache_lookup_us`).
-    timings.stamp_total();
-    // Worker-side aggregation: these counters/histograms are global
-    // lock-free atomics, so sandbox threads across the rayon pool fold
-    // into one registry without coordination.
-    telemetry::metrics::counter("ethainter_contracts_analyzed_total").inc();
-    telemetry::metrics::counter("ethainter_findings_total")
-        .add(report.findings.len() as u64);
-    telemetry::metrics::counter("ethainter_findings_composite_total")
-        .add(report.findings.iter().filter(|f| f.composite).count() as u64);
-    telemetry::metrics::histogram("ethainter_phase_decompile_us").observe(decompile_us);
-    telemetry::metrics::histogram("ethainter_phase_passes_us").observe(passes_us);
-    telemetry::metrics::histogram("ethainter_phase_index_build_us")
-        .observe(timings.index_build_us);
-    telemetry::metrics::histogram("ethainter_phase_fixpoint_us")
-        .observe(timings.fixpoint_us);
-    telemetry::metrics::histogram("ethainter_phase_sink_scan_us")
-        .observe(timings.sink_scan_us);
-    if let Some((detectors_us, effects_us, composite_us)) = timings.sink_scan_breakdown() {
-        telemetry::metrics::histogram("ethainter_phase_detectors_us").observe(detectors_us);
-        telemetry::metrics::histogram("ethainter_phase_effects_us").observe(effects_us);
-        telemetry::metrics::histogram("ethainter_phase_composite_us").observe(composite_us);
-    }
-    telemetry::metrics::histogram("ethainter_phase_witness_us").observe(timings.witness_us);
-    telemetry::metrics::histogram("ethainter_phase_total_us").observe(timings.total_us);
     Status::Analyzed {
         findings: report.findings.len(),
         composite: report.findings.iter().filter(|f| f.composite).count(),
@@ -608,8 +558,8 @@ pub fn analyze_one(bytecode: &[u8], config: &ethainter::Config) -> Status {
         stmts: report.stats.stmts,
         rounds: report.stats.rounds,
         facts: report.stats.facts,
-        lint,
-        timings,
+        lint: report.lint.unwrap_or_default(),
+        timings: report.stats.timings,
         witness: report.witnesses,
     }
 }
@@ -626,12 +576,7 @@ pub fn analyze_batch(
     cfg: &DriverConfig,
     analysis: &ethainter::Config,
 ) -> BatchReport {
-    let analysis = *analysis;
-    let timeout = cfg.timeout;
-    run_batch_with(contracts, cfg, move |bytecode: Vec<u8>| {
-        let deadline = Instant::now() + timeout;
-        ethainter::with_deadline(deadline, || analyze_one(&bytecode, &analysis))
-    })
+    run_batch_with(contracts, cfg, sandbox_body(cfg, analysis))
 }
 
 /// Analyzes one `(id, bytecode)` contract as a standalone job with the
@@ -649,12 +594,13 @@ pub fn analyze_job(
     cfg: &DriverConfig,
     analysis: &ethainter::Config,
 ) -> Outcome {
-    let analysis = *analysis;
-    let timeout = cfg.timeout;
-    fold_outcome(isolate_one(id.to_string(), bytecode, timeout, move |code: Vec<u8>| {
-        let deadline = Instant::now() + timeout;
-        ethainter::with_deadline(deadline, || analyze_one(&code, &analysis))
-    }))
+    fold_outcome(isolate_one(id.to_string(), bytecode, cfg.timeout, sandbox_body(cfg, analysis)))
+}
+
+/// [`analyze_one`] under a cooperative deadline equal to the watchdog's.
+fn sandbox_body(cfg: &DriverConfig, analysis: &ethainter::Config) -> impl Fn(Vec<u8>) -> Status {
+    let (timeout, analysis) = (cfg.timeout, *analysis);
+    move |code| ethainter::with_deadline(Instant::now() + timeout, || analyze_one(&code, &analysis))
 }
 
 #[cfg(test)]

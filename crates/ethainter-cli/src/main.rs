@@ -208,6 +208,12 @@ fn parse_config(flags: &[String]) -> Config {
     cfg
 }
 
+/// Why a contract has no complete analysis, in `batch`'s words.
+fn incomplete(report: &ethainter::Report) -> Option<String> {
+    let deadline = report.timed_out.then(|| "analysis deadline exceeded — partial analysis".into());
+    report.decompile_failed.as_ref().map(|reason| format!("decompile failed: {reason}")).or(deadline)
+}
+
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("analyze: missing <file>")?;
     let code = load_bytecode(path)?;
@@ -223,8 +229,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    if report.timed_out {
-        out!("decompilation budget exhausted — partial analysis");
+    if let Some(note) = incomplete(&report) {
+        out!("{note}");
     }
     if report.findings.is_empty() {
         out!("no findings");
@@ -254,8 +260,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let mut cfg = parse_config(args);
     cfg.witness = true;
     let report = ethainter::analyze_bytecode(&code, &cfg);
-    if report.timed_out {
-        out!("analysis budget exhausted — no witnesses for a partial analysis");
+    if let Some(note) = incomplete(&report) {
+        out!("{note} — no witnesses");
         return Ok(());
     }
     if report.findings.is_empty() {
@@ -320,7 +326,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         "{} span(s); {} finding(s){}",
         records.len(),
         report.findings.len(),
-        if report.timed_out { "; analysis budget exhausted" } else { "" }
+        incomplete(&report).map(|note| format!("; {note}")).unwrap_or_default()
     );
     Ok(())
 }
@@ -400,6 +406,9 @@ fn cmd_kill(args: &[String]) -> Result<(), String> {
             ))
             .count()
     );
+    if let Some(note) = incomplete(&report) {
+        out!("{note}");
+    }
     let mut net = chain::TestNet::new();
     let deployer = net.funded_account(evm::U256::from(1_000u64));
     let victim = net.deploy(deployer, code);

@@ -210,3 +210,33 @@ fn batch_limit_without_checkpoint_just_stops() {
     assert!(!text.contains("--resume"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn analyze_explain_and_trace_print_the_reason_batch_records() {
+    // Adversarial seed 3, contract 64: the first of that stream whose
+    // decompile runs out of budget.
+    let dir = temp_dir("cli-decompile-failed");
+    let cfg = corpus::PopulationConfig {
+        seed: 3,
+        scale: corpus::Scale::Adversarial,
+        ..Default::default()
+    };
+    let code = corpus::stream(&cfg).nth(64).unwrap().bytecode;
+    let hex: String = code.iter().map(|b| format!("{b:02x}")).collect();
+    std::fs::write(dir.join("c64.hex"), hex).unwrap();
+
+    batch(&dir, "c64.hex --out b.jsonl");
+    let line = std::fs::read_to_string(dir.join("b.jsonl")).unwrap();
+    let outcome: driver::Outcome = serde_json::from_str(line.trim()).unwrap();
+    let driver::Status::DecompileFailed { reason } = outcome.status else {
+        panic!("batch recorded {:?}", outcome.status);
+    };
+    assert_eq!(reason, "decompile budget exhausted; CFG incomplete");
+    for cmd in ["analyze", "explain", "trace"] {
+        let out = Command::new(bin()).current_dir(&dir).args([cmd, "c64.hex"]).output().unwrap();
+        assert!(out.status.success(), "{cmd}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(&format!("decompile failed: {reason}")), "{cmd}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

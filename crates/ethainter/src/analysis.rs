@@ -117,7 +117,9 @@ impl AnalysisArtifacts<'_> {
     pub(crate) fn evaluate_with(&self, cfg: &Config, fixpoint: Fixpoint) -> Report {
         let p = self.p;
         let mut report = Report {
-            timed_out: p.incomplete,
+            decompile_failed: p.incomplete.then(|| {
+                p.warnings.first().cloned().unwrap_or_else(|| "decompile budget exhausted".into())
+            }),
             stats: Stats {
                 blocks: p.blocks.len(),
                 stmts: p.stmts.len(),

@@ -57,8 +57,8 @@ use std::collections::{HashMap, HashSet};
 /// always compatible; `evaluate` asserts this.
 pub struct AnalysisArtifacts<'a> {
     pub(crate) p: &'a Program,
-    /// `None` for incomplete or empty programs — `evaluate` returns the
-    /// same timed-out/empty report `analyze` always has.
+    /// `None` for incomplete or empty programs — `evaluate` returns an
+    /// empty report (with `decompile_failed` set for an incomplete one).
     pub(crate) inner: Option<Inner<'a>>,
 }
 

@@ -57,25 +57,61 @@ pub use witness::{Witness, WitnessStep};
 /// so previously cached results are invalidated instead of replayed.
 pub const ANALYZER_VERSION: &str = concat!("ethainter-rs/", env!("CARGO_PKG_VERSION"), "+a3");
 
-/// Decompiles `bytecode` and runs the analysis — the end-to-end entry
-/// point used by the CLI, the scanner, and Ethainter-Kill. With the
-/// default config [`decompiler::optimize`] shrinks the TAC before the
-/// fixpoint ever sees it — one def-use worklist constant propagation,
-/// then one mark-sweep dead-code elimination; `config.optimize_ir =
-/// false` analyzes the raw decompiler output instead.
+/// Decompiles `bytecode` and runs the analysis — the one front end of
+/// the batch driver, the daemon, the CLI and Ethainter-Kill. A complete
+/// program is linted raw into [`Report::lint`], shrunk by
+/// [`decompiler::optimize`] (unless `config.optimize_ir` is off) and
+/// analyzed; every contract then feeds the counters and histograms.
 pub fn analyze_bytecode(bytecode: &[u8], config: &Config) -> Report {
     let sp_dec = telemetry::span("ethainter.decompile");
-    let mut program = decompiler::decompile_with_limits(bytecode, decompiler::Limits::default());
+    let mut program = decompiler::decompile(bytecode);
     let decompile_us = sp_dec.finish_us();
-    let sp_pass = telemetry::span("ethainter.passes");
-    if config.optimize_ir {
-        decompiler::optimize(&mut program, &decompiler::PassConfig::default());
-    }
-    let passes_us = sp_pass.finish_us();
-    let mut report = analyze(&program, config);
+    let mut report = if program.incomplete {
+        // No passes over a broken CFG; `analyze` sets `decompile_failed`.
+        analyze(&program, config)
+    } else {
+        let lint = decompiler::validate(&program);
+        let sp_pass = telemetry::span("ethainter.passes");
+        if config.optimize_ir {
+            decompiler::optimize(&mut program, &decompiler::PassConfig::default());
+        }
+        let passes_us = sp_pass.finish_us();
+        let mut report = analyze(&program, config);
+        report.lint = (!lint.is_empty()).then_some(lint);
+        report.stats.timings.passes_us = passes_us;
+        report
+    };
     report.stats.timings.decompile_us = decompile_us;
-    report.stats.timings.passes_us = passes_us;
     // `analyze` stamped a total without the two phases above; re-derive.
     report.stats.timings.stamp_total();
+    count(&report);
     report
+}
+
+/// Folds one contract into the global (lock-free) metrics registry.
+fn count(report: &Report) {
+    use telemetry::metrics;
+    let t = &report.stats.timings;
+    if report.decompile_failed.is_some() {
+        metrics::counter("ethainter_contracts_decompile_failed_total").inc();
+    } else if report.timed_out {
+        metrics::counter("ethainter_contracts_timed_out_total").inc();
+    } else {
+        metrics::counter("ethainter_contracts_analyzed_total").inc();
+        metrics::counter("ethainter_findings_total").add(report.findings.len() as u64);
+        metrics::counter("ethainter_findings_composite_total")
+            .add(report.findings.iter().filter(|f| f.composite).count() as u64);
+        metrics::histogram("ethainter_phase_decompile_us").observe(t.decompile_us);
+        metrics::histogram("ethainter_phase_passes_us").observe(t.passes_us);
+        metrics::histogram("ethainter_phase_index_build_us").observe(t.index_build_us);
+        metrics::histogram("ethainter_phase_fixpoint_us").observe(t.fixpoint_us);
+        metrics::histogram("ethainter_phase_sink_scan_us").observe(t.sink_scan_us);
+        if let Some((detectors_us, effects_us, composite_us)) = t.sink_scan_breakdown() {
+            metrics::histogram("ethainter_phase_detectors_us").observe(detectors_us);
+            metrics::histogram("ethainter_phase_effects_us").observe(effects_us);
+            metrics::histogram("ethainter_phase_composite_us").observe(composite_us);
+        }
+        metrics::histogram("ethainter_phase_witness_us").observe(t.witness_us);
+        metrics::histogram("ethainter_phase_total_us").observe(t.total_us);
+    }
 }

@@ -161,10 +161,16 @@ pub struct Stats {
 pub struct Report {
     /// Flagged vulnerabilities.
     pub findings: Vec<Finding>,
-    /// True when decompilation hit its budget; findings may be partial
-    /// (counted as a timeout in the evaluation, like the paper's 120 s
-    /// cutoff).
+    /// True when the deadline ([`with_deadline`](crate::with_deadline))
+    /// fired; findings may be partial.
     pub timed_out: bool,
+    /// Why the decompiler could not rebuild the CFG; nothing was
+    /// analyzed. Absent (never `null`) on a complete program.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub decompile_failed: Option<String>,
+    /// IR-validator violations on the raw decompiler output, when any.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub lint: Option<Vec<String>>,
     /// Bytecode offsets of the guard `JUMPI`s the fixpoint defeated —
     /// the provenance of every composite finding (the escalation chain
     /// an attacker walks through these guards, in pc order).

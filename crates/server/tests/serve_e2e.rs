@@ -332,3 +332,28 @@ fn shutdown_drains_every_accepted_job() {
     assert!(report.jobs_done >= accepted_ids.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A body of 200,000 `[` (400 KB, under `max_body`) is answered 400 at
+/// the JSON parser's depth limit, and the daemon keeps serving: before
+/// the limit, the parser recursed once per `[` and the connection
+/// thread's stack overflow aborted the whole process.
+#[test]
+fn deeply_nested_body_is_a_bad_request_not_a_crash() {
+    let _serial = lock_serial();
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+
+    let body = "[".repeat(200_000);
+    let resp = client::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let err: api::ErrorBody = serde_json::from_str(&resp.body).unwrap();
+    assert!(err.error.contains("bad JSON"), "{}", err.error);
+    assert_eq!(client::request(&addr, "GET", "/healthz", None).unwrap().status, 200);
+
+    assert!(handle.shutdown().drained_cleanly);
+}

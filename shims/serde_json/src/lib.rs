@@ -140,11 +140,18 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deep arrays and objects may nest, as in the real serde_json:
+/// the parser recurses once per level, so a bound keeps a hostile body
+/// of `[[[[…` from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     /// The input, kept as `&str` so string runs are copied as slices.
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 /// Parses JSON text into a [`Value`].
@@ -153,6 +160,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
         src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -206,69 +214,88 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `]` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `}}` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|b| b as char),
                 self.pos
             ))),
+        }
+    }
+
+    /// Parses the array or object at `pos` one level deeper, failing
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `]` at byte {}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                _ => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `}}` at byte {}",
+                        self.pos
+                    )))
+                }
+            }
         }
     }
 
@@ -414,6 +441,22 @@ mod tests {
         let v = Value::UInt(u64::MAX);
         let back: Value = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"a":"#.repeat(n) + "1" + &"}".repeat(n);
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH)).is_ok());
+        for text in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = from_str::<Value>(&text).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded"), "{err}");
+        }
+        // A hostile body far past the limit fails at the limit, with the
+        // stack it had: no overflow.
+        let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err().to_string();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 
     #[test]

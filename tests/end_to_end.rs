@@ -168,7 +168,8 @@ fn decompile_timeout_contracts_are_counted_not_crashed() {
         decompiler::Limits { max_blocks: 1, max_stmts: 10 },
     );
     let report = ethainter::analyze(&program, &Config::default());
-    assert!(report.timed_out);
+    assert!(report.decompile_failed.is_some());
+    assert!(!report.timed_out);
     assert!(report.findings.is_empty());
 }
 
