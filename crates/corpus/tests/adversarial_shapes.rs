@@ -90,7 +90,11 @@ fn ground_truth_matches_analysis_on_adversarial_templates() {
         let spec = f(&mut rng);
         let compiled = minisol::compile_source(&spec.source).unwrap();
         let report = analyze_bytecode(&compiled.bytecode, &Config::default());
-        assert!(!report.timed_out, "{name}: timed out");
+        assert!(
+            report.decompile_failed.is_none() && !report.timed_out,
+            "{name}: did not complete: {:?}",
+            report.decompile_failed
+        );
         for v in &spec.truth.exploitable {
             assert!(report.has(*v), "{name}: expected {v:?}, got {:?}", report.findings);
         }

@@ -131,6 +131,11 @@ fn population_scan_never_times_out_on_defaults() {
     let pop = Population::generate(&PopulationConfig { size: 80, seed: 5, ..Default::default() });
     for c in &pop.contracts {
         let r = analyze_bytecode(&c.bytecode, &Config::default());
-        assert!(!r.timed_out, "{} timed out", c.family);
+        assert!(
+            r.decompile_failed.is_none() && !r.timed_out,
+            "{} did not complete: {:?}",
+            c.family,
+            r.decompile_failed
+        );
     }
 }
