@@ -1,12 +1,11 @@
 //! Criterion microbenches for every pipeline stage: primitives (keccak,
-//! 256-bit division), the datalog engine, the compiler, the interpreter,
-//! the decompiler, and the analysis — plus the end-to-end per-contract
-//! cost that the §6.3 scalability claims rest on.
+//! 256-bit division), the compiler, the interpreter, the decompiler,
+//! and the analysis — plus the end-to-end per-contract cost that the
+//! §6.3 scalability claims rest on.
 
 use chain::abi::encode_call;
 use chain::TestNet;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use datalog::{join_relation_into, Iteration, Relation};
 use ethainter::Config;
 use evm::{keccak256, U256};
 use std::hint::black_box;
@@ -38,27 +37,6 @@ fn bench_primitives(c: &mut Criterion) {
         let x = U256::from_limbs([u64::MAX; 4]);
         let m = U256::from_limbs([0, 0, 0, u64::MAX]);
         b.iter(|| black_box(x).mul_mod(black_box(x), black_box(m)))
-    });
-}
-
-fn bench_datalog(c: &mut Criterion) {
-    // Transitive closure of a 500-node ring with chords.
-    let edges: Vec<(u32, u32)> = (0..500u32)
-        .flat_map(|i| [(i, (i + 1) % 500), (i, (i + 7) % 500)])
-        .collect();
-    c.bench_function("datalog/tc_500_nodes", |b| {
-        b.iter(|| {
-            let rel = Relation::from_iter(edges.iter().copied());
-            let mut it = Iteration::new();
-            let reach = it.variable::<(u32, u32)>("reach");
-            let rev = it.variable::<(u32, u32)>("rev");
-            reach.extend(edges.iter().copied());
-            while it.changed() {
-                rev.from_map(&reach, |&(x, y)| (y, x));
-                join_relation_into(&rev, &rel, &reach, |_, &x, &z| (x, z));
-            }
-            black_box(reach.complete().len())
-        })
     });
 }
 
@@ -143,7 +121,6 @@ fn bench_population(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_primitives,
-    bench_datalog,
     bench_compiler,
     bench_interpreter,
     bench_pipeline,

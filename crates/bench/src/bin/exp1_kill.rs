@@ -29,7 +29,7 @@ fn main() {
     let addrs = pop.deploy(&mut net);
 
     eprintln!("scanning for selfdestruct-class vulnerabilities…");
-    let result = scan_jobs(&pop, &Config::default(), 0);
+    let result = scan_jobs(&pop.contracts, &Config::default(), 0);
 
     // Flagged = any selfdestruct-class finding (Ethainter-Kill's scope).
     let flagged: Vec<usize> = result

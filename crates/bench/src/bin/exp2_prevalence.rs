@@ -23,7 +23,7 @@ fn main() {
     eprintln!("generating {size} unique contracts…");
     let pop = Population::generate(&PopulationConfig { size, ..Default::default() });
     eprintln!("scanning on the batch driver…");
-    let result = scan_jobs(&pop, &Config::default(), 0);
+    let result = scan_jobs(&pop.contracts, &Config::default(), 0);
     let rows = prevalence(&pop, &result.reports);
 
     println!("\nExperiment T1 — vulnerability prevalence over {size} unique contracts");

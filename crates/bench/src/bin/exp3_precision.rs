@@ -28,7 +28,7 @@ fn main() {
     let size = size_arg(120_000);
     eprintln!("generating {size} contracts and scanning…");
     let pop = Population::generate(&PopulationConfig { size, ..Default::default() });
-    let result = scan_jobs(&pop, &Config::default(), 0);
+    let result = scan_jobs(&pop.contracts, &Config::default(), 0);
 
     let sample = sample_flagged_with_source(&pop, &result.reports, 40, 0x5A11);
     eprintln!("sampled {} flagged contracts with verified source", sample.len());

@@ -8,9 +8,9 @@
 //! ```
 
 use baselines::securify;
-use bench::{print_table, size_arg};
+use bench::{print_table, scan_jobs, size_arg};
 use corpus::{Population, PopulationConfig};
-use ethainter::{analyze_bytecode, Config};
+use ethainter::Config;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,7 +22,6 @@ fn main() {
 
     let mut sec_flagged_cmp = 0usize; // flagged for comparable violations
     let mut sec_violations = 0usize;
-    let mut eth_flagged = 0usize;
     let mut sec_reports = Vec::with_capacity(size);
     for c in &pop.contracts {
         let s = securify::analyze(&c.bytecode);
@@ -30,12 +29,10 @@ fn main() {
             sec_flagged_cmp += 1;
             sec_violations += s.violations.len();
         }
-        let e = analyze_bytecode(&c.bytecode, &Config::default());
-        if !e.findings.is_empty() {
-            eth_flagged += 1;
-        }
         sec_reports.push(s);
     }
+    let eth = scan_jobs(&pop.contracts, &Config::default(), 0);
+    let eth_flagged = eth.reports.iter().filter(|r| !r.findings.is_empty()).count();
 
     // Sample 40 Securify-flagged contracts; judge against ground truth.
     let mut rng = StdRng::seed_from_u64(0x5EC);

@@ -12,9 +12,9 @@
 //! ```
 
 use baselines::securify2::{self, Failure, Pattern};
-use bench::{print_table, size_arg};
+use bench::{print_table, scan_jobs, size_arg};
 use corpus::{Population, PopulationConfig};
-use ethainter::{analyze_bytecode, Config, Vuln};
+use ethainter::{Config, Vuln};
 
 fn main() {
     let size = size_arg(120_000);
@@ -36,7 +36,8 @@ fn main() {
     let mut eth = [(0usize, 0usize); 3];
     let mut eth_timeouts = 0usize;
 
-    for c in &universe {
+    let eth_reports = scan_jobs(universe.iter().copied(), &Config::default(), 0).reports;
+    for (c, er) in universe.iter().zip(&eth_reports) {
         let src = c.source.as_deref().expect("universe is sourced");
         match securify2::analyze(src, true) {
             Err(Failure::Timeout) => s2_timeouts += 1,
@@ -61,7 +62,6 @@ fn main() {
                 }
             }
         }
-        let er = analyze_bytecode(&c.bytecode, &Config::default());
         if er.timed_out || er.decompile_failed.is_some() {
             eth_timeouts += 1;
         }

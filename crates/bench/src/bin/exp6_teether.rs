@@ -11,9 +11,9 @@
 //! ```
 
 use baselines::teether::{self, TeetherConfig};
-use bench::{print_table, size_arg};
+use bench::{print_table, scan_jobs, size_arg};
 use corpus::{Population, PopulationConfig};
-use ethainter::{analyze_bytecode, Config, Vuln};
+use ethainter::{Config, Vuln};
 
 fn main() {
     let size = size_arg(40_000);
@@ -23,7 +23,6 @@ fn main() {
 
     let mut te_flagged: Vec<usize> = Vec::new();
     let mut te_timeouts = 0usize;
-    let mut eth_flagged: Vec<usize> = Vec::new();
     for (i, c) in pop.contracts.iter().enumerate() {
         let t = teether::hunt(&c.bytecode, &c.initial_storage, &cfg);
         if t.timed_out {
@@ -32,11 +31,11 @@ fn main() {
         if t.flagged {
             te_flagged.push(i);
         }
-        let e = analyze_bytecode(&c.bytecode, &Config::default());
-        if e.has(Vuln::AccessibleSelfDestruct) {
-            eth_flagged.push(i);
-        }
     }
+    let eth = scan_jobs(&pop.contracts, &Config::default(), 0);
+    let eth_flagged: Vec<usize> = (0..size)
+        .filter(|&i| eth.reports[i].has(Vuln::AccessibleSelfDestruct))
+        .collect();
 
     let overlap = te_flagged.iter().filter(|i| eth_flagged.contains(i)).count();
     let coverage = 100.0 * overlap as f64 / te_flagged.len().max(1) as f64;

@@ -39,7 +39,7 @@ fn main() {
     }
     eprintln!("driver scan sweep over {sweep:?} worker(s)…");
     let runs: Vec<bench::ScanResult> =
-        sweep.iter().map(|&j| scan_jobs(&pop, &Config::default(), j)).collect();
+        sweep.iter().map(|&j| scan_jobs(&pop.contracts, &Config::default(), j)).collect();
     let seq = &runs[0];
     let _par = runs.last().unwrap();
 

@@ -38,7 +38,7 @@ fn main() {
     let pop = Population::generate(&PopulationConfig { size, ..Default::default() });
 
     eprintln!("scanning: default configuration…");
-    let base = scan_jobs(&pop, &Config::default(), 0);
+    let base = scan_jobs(&pop.contracts, &Config::default(), 0);
     let base_rows = prevalence(&pop, &base.reports);
 
     let variants = [
@@ -51,7 +51,7 @@ fn main() {
     let mut table = Vec::new();
     for (name, cfg) in variants {
         eprintln!("scanning: {name}…");
-        let v = scan_jobs(&pop, &cfg, 0);
+        let v = scan_jobs(&pop.contracts, &cfg, 0);
         let v_rows = prevalence(&pop, &v.reports);
         let ratios = report_ratios(&base_rows, &v_rows);
         let charted: Vec<f64> = CHARTED

@@ -26,7 +26,7 @@ fn main() {
         ..Default::default()
     });
     eprintln!("scanning on the batch driver…");
-    let result = scan_jobs(&pop, &Config::default(), 0);
+    let result = scan_jobs(&pop.contracts, &Config::default(), 0);
 
     println!("\nExperiment D2 — per-class ground truth at realistic scale ({size} contracts)");
     println!(

@@ -31,11 +31,14 @@ pub struct ScanResult {
 /// given worker count (`0` = one per core), per-contract timeout and
 /// panic containment included. A contract the driver cuts off or
 /// catches panicking yields an empty report with `timed_out` set, so
-/// the result stays index-aligned with the population.
-pub fn scan_jobs(pop: &Population, cfg: &Config, jobs: usize) -> ScanResult {
-    let items: Vec<(String, Vec<u8>)> = pop
-        .contracts
-        .iter()
+/// the result stays index-aligned with `contracts`.
+pub fn scan_jobs<'a>(
+    contracts: impl IntoIterator<Item = &'a CorpusContract>,
+    cfg: &Config,
+    jobs: usize,
+) -> ScanResult {
+    let items: Vec<(String, Vec<u8>)> = contracts
+        .into_iter()
         .map(|c| (format!("{}#{}", c.family, c.id), c.bytecode.clone()))
         .collect();
     let dcfg = DriverConfig { jobs, ..DriverConfig::default() };
@@ -259,8 +262,8 @@ mod tests {
     #[test]
     fn scan_is_deterministic() {
         let pop = small_pop();
-        let a = scan_jobs(&pop, &Config::default(), 1);
-        let b = scan_jobs(&pop, &Config::default(), 0);
+        let a = scan_jobs(&pop.contracts, &Config::default(), 1);
+        let b = scan_jobs(&pop.contracts, &Config::default(), 0);
         for (x, y) in a.reports.iter().zip(&b.reports) {
             assert_eq!(x.findings, y.findings);
         }
@@ -269,7 +272,7 @@ mod tests {
     #[test]
     fn prevalence_counts_match_reports() {
         let pop = small_pop();
-        let s = scan_jobs(&pop, &Config::default(), 1);
+        let s = scan_jobs(&pop.contracts, &Config::default(), 1);
         let rows = prevalence(&pop, &s.reports);
         for row in rows {
             let direct =
@@ -281,7 +284,7 @@ mod tests {
     #[test]
     fn sample_only_includes_sourced_flagged() {
         let pop = small_pop();
-        let s = scan_jobs(&pop, &Config::default(), 1);
+        let s = scan_jobs(&pop.contracts, &Config::default(), 1);
         let sample = sample_flagged_with_source(&pop, &s.reports, 10, 1);
         for id in sample {
             assert!(pop.contracts[id].source.is_some());
@@ -292,7 +295,7 @@ mod tests {
     #[test]
     fn precision_rows_bounded_by_sample() {
         let pop = small_pop();
-        let s = scan_jobs(&pop, &Config::default(), 1);
+        let s = scan_jobs(&pop.contracts, &Config::default(), 1);
         let sample = sample_flagged_with_source(&pop, &s.reports, 10, 2);
         let rows = score_sample(&pop, &s.reports, &sample);
         for (_, r) in &rows {
@@ -304,7 +307,7 @@ mod tests {
     #[test]
     fn ratios_are_one_for_identical_scans() {
         let pop = small_pop();
-        let s = scan_jobs(&pop, &Config::default(), 1);
+        let s = scan_jobs(&pop.contracts, &Config::default(), 1);
         let rows = prevalence(&pop, &s.reports);
         for (_, ratio) in report_ratios(&rows, &rows) {
             // Rows with zero flags report 0 by convention.

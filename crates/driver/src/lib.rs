@@ -49,10 +49,10 @@
 //! [`std::panic::catch_unwind`] and surface as [`Status::Panicked`]
 //! with the panic message; the batch keeps going.
 //!
-//! The `datalog` engine's `Variable<T>` is `Rc<RefCell<..>>`-based and
-//! deliberately `!Send`: fixpoint state can never leak across contract
-//! boundaries, because each sandbox thread *must* construct its own
-//! `Iteration` from scratch (see DESIGN.md §“Batch pipeline”).
+//! Fixpoint state never crosses contract boundaries: a sandbox receives
+//! only `&[u8]` and `&Config`, and builds its own decompiled `Program`
+//! and [`ethainter::AnalysisArtifacts`] from them, so nothing of the
+//! solver is shared (see DESIGN.md §“Batch pipeline”).
 //!
 //! ## Example
 //!
@@ -568,9 +568,9 @@ pub fn analyze_one(bytecode: &[u8], config: &ethainter::Config) -> Status {
 /// per-contract isolation — the production entry point.
 ///
 /// Each sandbox thread installs a cooperative deadline equal to the
-/// watchdog timeout, constructs its own decompiler and fixpoint state
-/// (the engine's `Rc`-based internals are `!Send`, so sharing is
-/// impossible by construction), and reports one [`Outcome`].
+/// watchdog timeout, builds its own `Program` and fixpoint state from
+/// the contract's bytes (nothing of the solver is shared between
+/// sandboxes), and reports one [`Outcome`].
 pub fn analyze_batch(
     contracts: Vec<(String, Vec<u8>)>,
     cfg: &DriverConfig,

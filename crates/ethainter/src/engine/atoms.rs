@@ -1,20 +1,19 @@
-//! Dense fact representations: atom interning and bitset relations.
+//! Interned storage atoms: dense `u32` names for 256-bit slots and
+//! memory offsets, and bitset relations over them.
 //!
-//! The sorted-tuple [`Relation`](crate::Relation)s of the semi-naive
-//! engine pay an `O(log n)` comparison (and, for wide ground terms like
-//! 256-bit storage slots, a 32-byte hash or memcmp) per membership
-//! test. Fixpoint inner loops dominated by membership tests over a
-//! *small, known-ahead-of-time* universe do better with the classic
-//! Datalog backend trick (Soufflé's term interning + BDD/bitset
-//! relations): intern every ground term into a dense `u32` atom once,
-//! then represent unary relations as bitsets indexed by atom.
+//! Fixpoint inner loops are dominated by membership tests over a small
+//! universe known before the fixpoint starts (the constant slots and
+//! mapping bases a program mentions). Soufflé's answer is term
+//! interning plus bitset relations, and so is this module's: intern
+//! every ground term into a dense atom once, during index construction,
+//! then represent unary relations as bitsets indexed by atom instead of
+//! hashing 32-byte keys.
 //!
-//! [`Interner`] is the front half — a stable injective `T → u32` map
-//! built during index construction. [`BitSet`] is the back half — a
-//! word-packed unary relation with O(1) insert/contains over interned
-//! atoms. Monotone fixpoints only ever flip bits on, so `insert`
-//! returning "was it new" doubles as the delta test that drives
-//! worklist scheduling.
+//! [`Interner`] is the front half, a stable injective `T → u32` map.
+//! [`BitSet`] is the back half, a word-packed unary relation with O(1)
+//! insert/contains. Monotone fixpoints only ever flip bits on, so
+//! `insert` returning "was it new" doubles as the delta test that
+//! drives worklist scheduling.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -25,19 +24,22 @@ use std::hash::Hash;
 /// from zero in first-seen order, so they index directly into
 /// atom-width [`BitSet`]s and `Vec` side tables.
 #[derive(Clone, Debug, Default)]
-pub struct Interner<T> {
+pub(crate) struct Interner<T> {
     atoms: HashMap<T, u32>,
     terms: Vec<T>,
 }
 
 impl<T: Clone + Eq + Hash> Interner<T> {
     /// An empty interner.
-    pub fn new() -> Self {
-        Interner { atoms: HashMap::new(), terms: Vec::new() }
+    pub(crate) fn new() -> Self {
+        Interner {
+            atoms: HashMap::new(),
+            terms: Vec::new(),
+        }
     }
 
     /// Interns `t`, returning its atom (allocating one when new).
-    pub fn intern(&mut self, t: T) -> u32 {
+    pub(crate) fn intern(&mut self, t: T) -> u32 {
         if let Some(&a) = self.atoms.get(&t) {
             return a;
         }
@@ -47,50 +49,38 @@ impl<T: Clone + Eq + Hash> Interner<T> {
         a
     }
 
-    /// The atom of `t`, when already interned.
-    pub fn lookup(&self, t: &T) -> Option<u32> {
-        self.atoms.get(t).copied()
-    }
-
     /// The term behind `atom`.
     ///
     /// # Panics
     ///
     /// Panics when `atom` was never issued by this interner.
-    pub fn resolve(&self, atom: u32) -> &T {
+    pub(crate) fn resolve(&self, atom: u32) -> &T {
         &self.terms[atom as usize]
     }
 
     /// Number of distinct terms interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Iterates `(atom, term)` in atom order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.terms.iter().enumerate().map(|(i, t)| (i as u32, t))
     }
 }
 
 /// A word-packed unary relation over dense atoms.
 ///
 /// Fixed capacity chosen at construction (the interner's universe
-/// size); all operations are O(1) or O(capacity/64).
+/// size); `insert` and `contains` are O(1).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BitSet {
+pub(crate) struct BitSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl BitSet {
     /// An empty set with room for atoms `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BitSet { words: vec![0; capacity.div_ceil(64)], len: 0 }
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        BitSet {
+            words: vec![0; capacity.div_ceil(64)],
+            len: 0,
+        }
     }
 
     /// Inserts `atom`; true when it was not already present.
@@ -99,7 +89,7 @@ impl BitSet {
     ///
     /// Panics when `atom` exceeds the constructed capacity — an
     /// out-of-universe atom is an interning bug, not a growth request.
-    pub fn insert(&mut self, atom: u32) -> bool {
+    pub(crate) fn insert(&mut self, atom: u32) -> bool {
         let (w, b) = (atom as usize / 64, atom as usize % 64);
         let mask = 1u64 << b;
         if self.words[w] & mask != 0 {
@@ -112,34 +102,16 @@ impl BitSet {
 
     /// Membership test. Atoms beyond capacity are absent, not errors
     /// (`contains` is a query, `insert` is an assertion).
-    pub fn contains(&self, atom: u32) -> bool {
+    pub(crate) fn contains(&self, atom: u32) -> bool {
         let (w, b) = (atom as usize / 64, atom as usize % 64);
-        self.words.get(w).is_some_and(|word| word & (1u64 << b) != 0)
+        self.words
+            .get(w)
+            .is_some_and(|word| word & (1u64 << b) != 0)
     }
 
     /// Number of atoms present.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no atom is present.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates present atoms in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let b = w.trailing_zeros();
-                w &= w - 1;
-                Some(wi as u32 * 64 + b)
-            })
-        })
     }
 }
 
@@ -155,15 +127,12 @@ mod tests {
         assert_eq!(i.intern("x"), a);
         assert_eq!((a, b), (0, 1));
         assert_eq!(i.len(), 2);
+        assert_eq!(*i.resolve(a), "x");
         assert_eq!(*i.resolve(b), "y");
-        assert_eq!(i.lookup(&"y"), Some(1));
-        assert_eq!(i.lookup(&"z"), None);
-        let pairs: Vec<(u32, &&str)> = i.iter().collect();
-        assert_eq!(pairs, vec![(0, &"x"), (1, &"y")]);
     }
 
     #[test]
-    fn bitset_insert_contains_iter() {
+    fn bitset_insert_contains() {
         let mut s = BitSet::with_capacity(130);
         assert!(s.insert(0));
         assert!(s.insert(63));
@@ -174,15 +143,15 @@ mod tests {
         assert!(s.contains(129));
         assert!(!s.contains(100));
         assert!(!s.contains(10_000), "out-of-capacity query is just absent");
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+        let present: Vec<u32> = (0..130).filter(|&a| s.contains(a)).collect();
+        assert_eq!(present, vec![0, 63, 64, 129]);
     }
 
     #[test]
     fn bitset_zero_capacity() {
         let s = BitSet::with_capacity(0);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         assert!(!s.contains(0));
-        assert_eq!(s.iter().count(), 0);
     }
 
     #[test]
@@ -192,13 +161,15 @@ mod tests {
         let mut reference = std::collections::HashSet::new();
         let mut x = 0x9E3779B97F4A7C15u64;
         for _ in 0..1000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let atom = (x >> 33) as u32 % 512;
             assert_eq!(s.insert(atom), reference.insert(atom), "atom {atom}");
         }
         assert_eq!(s.len(), reference.len());
-        let mut sorted: Vec<u32> = reference.into_iter().collect();
-        sorted.sort_unstable();
-        assert_eq!(s.iter().collect::<Vec<_>>(), sorted);
+        for atom in 0..512 {
+            assert_eq!(s.contains(atom), reference.contains(&atom), "atom {atom}");
+        }
     }
 }

@@ -18,8 +18,8 @@
 //! variable number directly. The fixpoint inner loops therefore never
 //! hash a 32-byte key.
 
+use super::atoms::Interner;
 use super::{GuardKind, KeyClass, Prepared};
-use datalog::Interner;
 use decompiler::{Op, StmtId, Var};
 use evm::U256;
 

@@ -24,13 +24,14 @@
 //! *scheduling*, never in rules. The differential suites in
 //! `crates/bench/tests/engine_differential.rs` hold them to that.
 
+mod atoms;
 pub(crate) mod dense;
 pub(crate) mod indexes;
 pub(crate) mod provenance;
 pub(crate) mod sparse;
 
 use crate::config::Config;
-use datalog::{BitSet, Interner};
+use atoms::{BitSet, Interner};
 use decompiler::{BlockId, DefUse, Dominators, Op, Program, StmtId, Var};
 use evm::opcode::Opcode;
 use evm::U256;
@@ -112,7 +113,7 @@ pub(crate) enum SAddr {
 }
 
 /// [`SAddr`] with the 256-bit slot constants interned into dense atoms
-/// (see [`datalog::Interner`]). Precomputed per `SLoad`/`SStore`
+/// (see [`Interner`]). Precomputed per `SLoad`/`SStore`
 /// statement during index build, so the fixpoint inner loops test slot
 /// membership against [`BitSet`]s instead of hashing 32-byte keys.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,8 +1,9 @@
 //! The paper's §4 formalism, transcribed and runnable.
 //!
 //! This module implements the *abstract input language* of Figure 1 and
-//! the inference rules of Figures 3 and 4 exactly as published, on top of
-//! the `datalog` engine. It exists for its "independent value" (§1): the
+//! the inference rules of Figures 3 and 4 exactly as published, each
+//! stratum evaluated by a plain round loop that re-applies every rule
+//! until nothing grows. It exists for its "independent value" (§1): the
 //! rules can be studied, tested, and property-checked in isolation from
 //! the bytecode pipeline.
 //!
@@ -18,7 +19,6 @@
 //! | `x ∼ S(v)`         | input facts ([`Program::storage_alias`])|
 //! | `DS(x)` / `DSA(x)` | [`Solution::ds`] / [`Solution::dsa`]  |
 
-use datalog::{join_relation_into, Iteration, Relation};
 use std::collections::{HashMap, HashSet};
 
 /// An abstract-language variable (interned).
@@ -190,55 +190,36 @@ impl Program {
     }
 
     /// Computes `DS` and `DSA` (Figure 4) — an earlier stratum,
-    /// independent of taint, evaluated with the datalog engine.
+    /// independent of taint, evaluated to fixpoint before it.
     fn solve_ds(&self) -> (HashSet<V>, HashSet<V>) {
-        // Facts as (key, ()) pairs for the engine.
-        let hash_edges: Relation<(V, V)> = self
-            .insts
-            .iter()
-            .filter_map(|i| match i {
-                Inst::Hash { x, y } => Some((*y, *x)),
-                _ => None,
-            })
-            .collect();
-        let op_edges: Relation<(V, V)> = self
-            .insts
-            .iter()
-            .flat_map(|i| match i {
-                Inst::Op { x, y, z } | Inst::OpEq { x, y, z } => {
-                    vec![(*y, *x), (*z, *x)]
+        // DS-SenderKey
+        let mut ds: HashSet<V> = self.sender.into_iter().collect();
+        let mut dsa = HashSet::new();
+        loop {
+            let before = (ds.len(), dsa.len());
+            for inst in &self.insts {
+                match inst {
+                    // DS-Lookup / DSA-Lookup: x := HASH(y), DS(y) or DSA(y) ⊢ DSA(x)
+                    Inst::Hash { x, y } if ds.contains(y) || dsa.contains(y) => {
+                        dsa.insert(*x);
+                    }
+                    // DS-AddrOp-1/2: DSA(y), x := OP(y, ∗) ⊢ DSA(x)
+                    Inst::Op { x, y, z } | Inst::OpEq { x, y, z }
+                        if dsa.contains(y) || dsa.contains(z) =>
+                    {
+                        dsa.insert(*x);
+                    }
+                    // DSA-Load: DSA(x), SLOAD(x, y) ⊢ DS(y)
+                    Inst::SLoad { f, t } if dsa.contains(f) => {
+                        ds.insert(*t);
+                    }
+                    _ => {}
                 }
-                _ => Vec::new(),
-            })
-            .collect();
-        let load_edges: Relation<(V, V)> = self
-            .insts
-            .iter()
-            .filter_map(|i| match i {
-                Inst::SLoad { f, t } => Some((*f, *t)),
-                _ => None,
-            })
-            .collect();
-
-        let mut it = Iteration::new();
-        let ds = it.variable::<(V, ())>("DS");
-        let dsa = it.variable::<(V, ())>("DSA");
-        if let Some(s) = self.sender {
-            ds.extend(vec![(s, ())]); // DS-SenderKey
+            }
+            if (ds.len(), dsa.len()) == before {
+                return (ds, dsa);
+            }
         }
-        while it.changed() {
-            // DS-Lookup: x := HASH(y), DS(y) ⊢ DSA(x)
-            join_relation_into(&ds, &hash_edges, &dsa, |_, _, &x| (x, ()));
-            // DSA-Lookup: x := HASH(y), DSA(y) ⊢ DSA(x)
-            join_relation_into(&dsa, &hash_edges, &dsa, |_, _, &x| (x, ()));
-            // DS-AddrOp-1/2: DSA(y), x := OP(y, ∗) ⊢ DSA(x)
-            join_relation_into(&dsa, &op_edges, &dsa, |_, _, &x| (x, ()));
-            // DSA-Load: DSA(x), SLOAD(x, y) ⊢ DS(y)
-            join_relation_into(&dsa, &load_edges, &ds, |_, _, &y| (y, ()));
-        }
-        let ds: HashSet<V> = ds.complete().into_iter().map(|(v, ())| v).collect();
-        let dsa: HashSet<V> = dsa.complete().into_iter().map(|(v, ())| v).collect();
-        (ds, dsa)
     }
 
     /// Runs the full analysis (Figure 3, with Figure 4 as an earlier

@@ -6,7 +6,7 @@
 //! Two layers:
 //!
 //! - [`formalism`] — the paper's §4 abstract language and inference rules
-//!   (Figures 1–4), runnable in isolation on the `datalog` engine.
+//!   (Figures 1–4), runnable in isolation from the bytecode pipeline.
 //! - [`analysis`] — the production analysis over decompiled EVM bytecode
 //!   (the Figure 5 mutual recursion): guard inference, sender-keyed
 //!   data-structure modeling, two-flavor taint (input vs. storage), guard

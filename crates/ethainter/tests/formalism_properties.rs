@@ -12,11 +12,14 @@ struct ArbProgram {
     aliases: Vec<(u32, u64)>,
 }
 
+/// The caller variable: `build` interns it right after `v0..v11`.
+const SENDER: V = V(12);
+
 fn build(p: &ArbProgram) -> (Program, Vec<V>) {
     let mut prog = Program::new();
-    // Intern a fixed universe v0..v12 plus sender.
+    // Intern a fixed universe v0..v11 plus sender.
     let vars: Vec<V> = (0..12).map(|i| prog.var(&format!("v{i}"))).collect();
-    let _sender = prog.var("sender");
+    assert_eq!(prog.var("sender"), SENDER);
     for (x, v) in &p.consts {
         prog.const_value(vars[*x as usize], *v);
     }
@@ -29,8 +32,9 @@ fn build(p: &ArbProgram) -> (Program, Vec<V>) {
     (prog, vars)
 }
 
+/// Instructions over `v0..v11` and `sender`, so the Figure 4 rules fire.
 fn arb_inst() -> impl Strategy<Value = Inst> {
-    let v = || (0u32..12).prop_map(V);
+    let v = || (0u32..SENDER.0 + 1).prop_map(V);
     prop_oneof![
         (v(), v(), v()).prop_map(|(x, y, z)| Inst::Op { x, y, z }),
         (v(), v(), v()).prop_map(|(x, y, z)| Inst::OpEq { x, y, z }),
@@ -141,5 +145,34 @@ proptest! {
             prop_assert!(defined, "DSA var {v:?} with no hash/op definition");
         }
         let _ = vars;
+    }
+
+    /// `DS`/`DSA` are closed under every Figure 4 rule: each rule
+    /// instance whose premises hold has its conclusion derived too.
+    #[test]
+    fn ds_dsa_closed_under_figure_4(p in arb_program()) {
+        let (prog, _) = build(&p);
+        let sol = prog.solve();
+        // DS-SenderKey
+        prop_assert!(sol.ds.contains(&SENDER));
+        for inst in &p.insts {
+            match inst {
+                // DS-Lookup / DSA-Lookup
+                Inst::Hash { x, y } if sol.ds.contains(y) || sol.dsa.contains(y) => {
+                    prop_assert!(sol.dsa.contains(x), "{inst:?}");
+                }
+                // DS-AddrOp-1/2
+                Inst::Op { x, y, z } | Inst::OpEq { x, y, z }
+                    if sol.dsa.contains(y) || sol.dsa.contains(z) =>
+                {
+                    prop_assert!(sol.dsa.contains(x), "{inst:?}");
+                }
+                // DSA-Load
+                Inst::SLoad { f, t } if sol.dsa.contains(f) => {
+                    prop_assert!(sol.ds.contains(t), "{inst:?}");
+                }
+                _ => {}
+            }
+        }
     }
 }

@@ -302,13 +302,23 @@ fn worker_loop(shared: &Shared) {
         let (outcome, cached) = match &shared.cache {
             Some(cache) => {
                 let key = store::cache_key(&job.bytecode, &job.analysis);
-                let label = job.label.clone();
-                let analysis = job.analysis;
-                let bytecode = job.bytecode;
-                let got = cache.get_or_compute(key, move || {
-                    let o = driver::analyze_job(&label, bytecode, &driver_cfg, &analysis);
+                // Witnesses are not part of the key and the cache keeps
+                // verdicts only, so a witness job that hits recomputes them.
+                let witness_code = job.analysis.witness.then(|| job.bytecode.clone());
+                let mut got = cache.get_or_compute(key, || {
+                    let o =
+                        driver::analyze_job(&job.label, job.bytecode, &driver_cfg, &job.analysis);
                     store::CachedResult { status: o.status, elapsed_ms: o.elapsed_ms }
                 });
+                if let (false, Some(code), driver::Status::Analyzed { witness, .. }) =
+                    (got.fresh, witness_code, &mut got.result.status)
+                {
+                    telemetry::metrics::counter("ethainter_witness_recomputes_total").inc();
+                    let o = driver::analyze_job(&job.label, code, &driver_cfg, &job.analysis);
+                    if let driver::Status::Analyzed { witness: w, .. } = o.status {
+                        *witness = w;
+                    }
+                }
                 if let Some(e) = &got.put_error {
                     eprintln!("warning: cache append failed: {e}");
                     telemetry::metrics::counter("ethainter_server_cache_put_errors_total").inc();

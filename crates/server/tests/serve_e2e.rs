@@ -357,3 +357,56 @@ fn deeply_nested_body_is_a_bad_request_not_a_crash() {
 
     assert!(handle.shutdown().drained_cleanly);
 }
+
+/// The cache keeps verdicts only and its key ignores `witness`, so a
+/// repeated witness job is a hit whose witnesses the daemon recomputes:
+/// both submissions carry the same non-empty witness list.
+#[test]
+fn witness_job_cache_hit_carries_the_witnesses() {
+    let _serial = lock_serial();
+    let dir = tmp_dir("witness");
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let code = minisol::compile_source(
+        "contract Bad { address owner;
+           function initOwner(address o) public { owner = o; }
+           function kill() public { require(msg.sender == owner); selfdestruct(owner); } }",
+    )
+    .unwrap()
+    .bytecode;
+    let recomputes_before = counter("ethainter_witness_recomputes_total");
+
+    let run = || {
+        let resp = client::submit(
+            &addr,
+            &api::JobRequest {
+                bytecode: hex(&code),
+                id: None,
+                config: Some(api::ConfigPatch { witness: Some(true), ..Default::default() }),
+            },
+        )
+        .unwrap();
+        assert_eq!(resp.status, 202, "{}", resp.body);
+        let accepted: api::JobAccepted = serde_json::from_str(&resp.body).unwrap();
+        let done = client::await_job(&addr, &accepted.id, Duration::from_secs(60)).unwrap();
+        match done.report.expect("done jobs carry the full report").status {
+            driver::Status::Analyzed { witness, .. } => (done.cached, witness),
+            other => panic!("expected an analyzed report, got {other:?}"),
+        }
+    };
+    let (first_cached, first) = run();
+    let (second_cached, second) = run();
+    assert_eq!((first_cached, second_cached), (Some(false), Some(true)));
+    assert!(first.as_ref().is_some_and(|w| !w.is_empty()), "{first:?}");
+    assert_eq!(second, first, "a cache hit must carry the fresh run's witnesses");
+    assert_eq!(counter("ethainter_witness_recomputes_total") - recomputes_before, 1);
+
+    assert!(handle.shutdown().drained_cleanly);
+    let _ = std::fs::remove_dir_all(&dir);
+}
