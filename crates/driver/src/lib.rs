@@ -10,9 +10,9 @@
 //!
 //! ```text
 //!                        ┌────────────────────────────┐
-//!   contracts ────────▶  │  shared queue (atomic idx) │
+//!   contracts ────────▶  │  shared queue (one Mutex)  │
 //!   (id, bytecode)       └──────────┬─────────────────┘
-//!                                   │ claim next index
+//!                                   │ pull next (index, item)
 //!                 ┌─────────────────┼─────────────────┐
 //!                 ▼                 ▼                 ▼
 //!           ┌──────────┐     ┌──────────┐       ┌──────────┐
@@ -27,14 +27,15 @@
 //!         └──────────────┘                     └──────────────┘
 //!                │                                    │
 //!                ▼                                    ▼
-//!        outcome slot [i]  ──── ordered by input index ────▶  Vec<Outcome>
+//!        (index, outcome)  ───── sorted by input index ─────▶  Vec<Outcome>
 //! ```
 //!
 //! Two thread layers, each for one isolation property:
 //!
-//! - **Workers** (one per `--jobs`) pull contract *indices* from an
-//!   atomic counter — dynamic load balancing, so one slow contract
-//!   doesn't idle the other cores behind a static partition.
+//! - **Workers** (one scoped `std::thread` per `--jobs`) pull the next
+//!   `(index, contract)` from one shared queue — dynamic load
+//!   balancing, so one slow contract doesn't idle the other cores
+//!   behind a static partition.
 //! - Each worker runs each contract on a fresh disposable **sandbox
 //!   thread** and waits on a channel with [`mpsc::Receiver::recv_timeout`].
 //!   On timeout the sandbox thread is *abandoned* (not killed — Rust has
@@ -72,7 +73,6 @@
 
 #![warn(missing_docs)]
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
@@ -357,12 +357,17 @@ pub struct IsolatedBatch<R> {
 /// a per-item wall-clock timeout, and panic containment — the generic
 /// engine under [`analyze_batch`] and `bench`'s population scans.
 ///
-/// The worker pool is a rayon thread pool sized to `cfg.jobs`; workers
-/// claim items dynamically (work stealing), so one slow contract does
-/// not idle the other cores behind a static partition. Each claimed
+/// `cfg.jobs` scoped worker threads each pull the next
+/// `(index, (id, item))` from one shared queue, so one slow contract
+/// does not idle the other cores behind a static partition. Each pulled
 /// item then runs on a disposable sandbox thread under a
 /// `recv_timeout` watchdog (see the crate docs for the two-layer
-/// rationale).
+/// rationale), and the outcomes are sorted back into input order.
+///
+/// Sandboxes never inherit the caller's trace context, whatever the
+/// worker count: the sandbox is spawned from a worker thread, which
+/// has none installed, so each sandbox mints its own trace id (see
+/// [`isolate_one`]).
 ///
 /// Guarantees:
 ///
@@ -377,32 +382,34 @@ where
     R: Send + 'static,
     F: Fn(T) -> R + Send + Sync + 'static,
 {
-    let n = items.len();
-    let jobs = cfg.effective_jobs().min(n.max(1));
+    let jobs = cfg.effective_jobs().min(items.len().max(1));
     let timeout = cfg.timeout;
+    // Each item is *moved* into its sandbox thread: the sandbox must own
+    // it, since on timeout the thread is abandoned together with the item.
     let work = Arc::new(work);
-    // Each item is claimed exactly once by whichever worker reaches its
-    // index, then *moved* into that item's sandbox thread (the sandbox
-    // must own it: on timeout the thread is abandoned together with the
-    // item). The pool's map is order-preserving, so results come back
-    // at their input index whatever the scheduling.
-    let indexed: Vec<(usize, String, Mutex<Option<T>>)> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, (id, item))| (i, id, Mutex::new(Some(item))))
-        .collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
     let started = Instant::now();
 
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("worker pool");
-    let results: Vec<IsolatedOutcome<R>> = pool.install(|| {
-        indexed
-            .par_iter()
-            .map(|(i, id, cell)| {
-                let item = cell.lock().unwrap().take().expect("index claimed exactly once");
-                run_one(*i, id.clone(), item, timeout, &work)
+    let mut results: Vec<IsolatedOutcome<R>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Bind first so the queue lock drops before the item runs.
+                        let next = queue.lock().expect("queue holders never panic").next();
+                        let Some((index, (id, item))) = next else { break done };
+                        let work = Arc::clone(&work);
+                        let mut outcome = isolate_one(id, item, timeout, move |item| work(item));
+                        outcome.index = index;
+                        done.push(outcome);
+                    }
+                })
             })
-            .collect()
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("driver worker panicked")).collect()
     });
+    results.sort_unstable_by_key(|o| o.index);
 
     IsolatedBatch { results, jobs, wall_time: started.elapsed() }
 }
@@ -446,25 +453,6 @@ fn fold_outcome(o: IsolatedOutcome<Status>) -> Outcome {
         },
         elapsed_ms: o.elapsed_ms,
     }
-}
-
-/// Runs one item on a disposable sandbox thread under a watchdog.
-fn run_one<T, R, F>(
-    index: usize,
-    id: String,
-    item: T,
-    timeout: Duration,
-    work: &Arc<F>,
-) -> IsolatedOutcome<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let work = Arc::clone(work);
-    let mut outcome = isolate_one(id, item, timeout, move |item| work(item));
-    outcome.index = index;
-    outcome
 }
 
 /// Runs one unit of caller-supplied work with the full sandbox
@@ -586,7 +574,7 @@ pub fn analyze_batch(
 ///
 /// This is the per-job unit of `ethainter serve`: the server supplies
 /// its own concurrency (one OS worker per `--jobs`), so each job needs
-/// exactly one disposable sandbox, not a rayon pool. The returned
+/// exactly one disposable sandbox, not a worker pool. The returned
 /// outcome has `index == 0`; job identity lives in `id`.
 pub fn analyze_job(
     id: &str,

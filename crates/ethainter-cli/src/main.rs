@@ -82,7 +82,7 @@ USAGE:
     ethainter compile <file>
     ethainter kill <file>
     ethainter batch [<file>...] [--corpus n] [--seed s] [--scale sc] [--jobs n]
-                    [--timeout-ms t] [--out f.jsonl] [--chunk n] [config flags]
+                    [--timeout-ms t] [--out f.jsonl] [config flags]
                     [--cache-dir d] [--checkpoint d | --resume d] [--limit n]
                     [--no-progress] [--metrics-out f.json] [--trace-out f.jsonl]
     ethainter serve [--addr host:port] [--jobs n] [--queue-depth n]
@@ -123,8 +123,8 @@ yields exactly one JSONL outcome record (--out, `-` for stdout).
 structural --scale small|realistic|adversarial (default small; the
 large scales generate 4–50 KB DeFi-shaped contracts — see BENCHMARKS.md);
 --jobs 0 (default) uses one worker per core. Inputs stream through the
-driver in --chunk-sized windows (default 64), and each outcome line is
-flushed as it is produced — a killed run leaves a valid JSONL prefix.
+driver in windows of 64 contracts, and each outcome line is flushed
+as it is produced — a killed run leaves a valid JSONL prefix.
 
 --cache-dir d keeps a content-addressed result store at d: a re-run of
 an unchanged scan answers from the cache instead of re-analyzing
@@ -177,14 +177,8 @@ fn load_bytecode(path: &str) -> Result<Vec<u8>, String> {
     let trimmed = text.trim();
     // Hex if it looks like hex; otherwise compile as minisol.
     let hexish = trimmed.strip_prefix("0x").unwrap_or(trimmed);
-    if !hexish.is_empty() && hexish.chars().all(|c| c.is_ascii_hexdigit()) {
-        if hexish.len() % 2 != 0 {
-            return Err("odd-length hex bytecode".into());
-        }
-        return (0..hexish.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hexish[i..i + 2], 16).map_err(|e| e.to_string()))
-            .collect();
+    if !hexish.is_empty() && hexish.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return store::parse_hex(trimmed);
     }
     minisol::compile_source(trimmed).map(|c| c.bytecode).map_err(|e| e.to_string())
 }
@@ -515,7 +509,6 @@ struct BatchArgs {
     checkpoint_dir: Option<String>,
     resume_dir: Option<String>,
     limit: Option<usize>,
-    chunk: usize,
     no_progress: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
@@ -532,7 +525,6 @@ impl BatchArgs {
             checkpoint_dir: None,
             resume_dir: None,
             limit: None,
-            chunk: 64,
             no_progress: false,
             metrics_out: None,
             trace_out: None,
@@ -558,9 +550,6 @@ impl BatchArgs {
                 "--limit" => {
                     p.limit =
                         Some(take("--limit")?.parse().map_err(|e| format!("bad --limit: {e}"))?)
-                }
-                "--chunk" => {
-                    p.chunk = take("--chunk")?.parse().map_err(|e| format!("bad --chunk: {e}"))?
                 }
                 "--no-progress" => p.no_progress = true,
                 "--metrics-out" => p.metrics_out = Some(take("--metrics-out")?),
@@ -696,9 +685,9 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let scan = store::Scanner {
         driver,
         analysis,
-        chunk: parsed.chunk,
         limit: parsed.limit,
         cache: cache.as_mut(),
+        ..store::Scanner::default()
     }
     .scan(
         source,

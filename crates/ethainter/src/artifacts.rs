@@ -35,7 +35,7 @@
 use crate::config::Config;
 use crate::engine::indexes::SparseIndexes;
 use crate::engine::{CondRegion, Ctx, Prepared};
-use decompiler::passes::{effects, storage};
+use decompiler::passes::{constprop, effects, storage};
 use decompiler::{BlockId, DefUse, Dominators, Op, Program, StmtId, Var};
 use evm::U256;
 use std::cell::OnceCell;
@@ -134,13 +134,12 @@ impl<'a> AnalysisArtifacts<'a> {
 
         let mut ctx = Ctx {
             p,
+            consts: constprop::constants(p, &du),
             du,
-            consts: vec![None; p.n_vars as usize],
             ds: vec![false; p.n_vars as usize],
             dsa: vec![false; p.n_vars as usize],
             saddr_cache: HashMap::new(),
         };
-        ctx.compute_consts();
         ctx.compute_ds();
 
         // Guards (StaticallyGuardedStatement).

@@ -137,7 +137,8 @@ pub(crate) struct Ctx<'a> {
     pub p: &'a Program,
     /// Def→use-site index (params have one def per predecessor copy).
     pub du: DefUse,
-    /// var → constant value, when uniquely determined.
+    /// var → constant value, when uniquely determined (`ConstValue`:
+    /// the optimizer's own [`decompiler::passes::constprop::constants`]).
     pub consts: Vec<Option<U256>>,
     /// Figure 4 relations over TAC vars.
     pub ds: Vec<bool>,
@@ -442,67 +443,6 @@ pub(crate) fn guard_defeated(
 }
 
 impl Ctx<'_> {
-    /// Constant propagation (`ConstValue`, C(x) = v): through `Const`
-    /// definitions and `Copy` chains where all definitions agree.
-    ///
-    /// Worklist form: a variable is (re)examined only when first seeded
-    /// or when a variable it copies from resolves. The resolution
-    /// predicate is monotone (sources never change once `Some`), so this
-    /// reaches the same least fixpoint as the naive rescan it replaced —
-    /// in O(copy edges) instead of O(rounds × vars).
-    pub fn compute_consts(&mut self) {
-        let n = self.consts.len();
-        let mut queue: VecDeque<u32> = (0..n as u32).collect();
-        let mut queued = vec![true; n];
-        while let Some(v) = queue.pop_front() {
-            let vi = v as usize;
-            queued[vi] = false;
-            if self.consts[vi].is_some() {
-                continue;
-            }
-            let defs = self.du.defs(Var(v));
-            if defs.is_empty() {
-                continue;
-            }
-            let mut val: Option<U256> = None;
-            let mut ok = true;
-            for &d in defs {
-                let s = self.p.stmt(d);
-                let this = match &s.op {
-                    Op::Const(c) => Some(*c),
-                    Op::Copy => self.consts[s.uses[0].0 as usize],
-                    _ => None,
-                };
-                match (this, val) {
-                    (Some(a), None) => val = Some(a),
-                    (Some(a), Some(b)) if a == b => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let Some(c) = val else { continue };
-            self.consts[vi] = Some(c);
-            // Copies *of* v may now resolve — requeue their defined vars.
-            for &u in self.du.uses(Var(v)) {
-                let s = self.p.stmt(u);
-                if s.op != Op::Copy {
-                    continue;
-                }
-                let Some(d) = s.def else { continue };
-                let di = d.0 as usize;
-                if self.consts[di].is_none() && !queued[di] {
-                    queued[di] = true;
-                    queue.push_back(d.0);
-                }
-            }
-        }
-    }
-
     /// Figure 4 over TAC: `DS` (caller-identity data) and `DSA`
     /// (addresses of caller-keyed structure elements).
     ///

@@ -46,7 +46,7 @@ pub use analysis::{analyze, with_deadline};
 pub use artifacts::AnalysisArtifacts;
 pub use config::{Config, StorageModel};
 pub use report::{FactCounts, Finding, Report, Stats, Vuln};
-pub use timing::{PhaseTimer, PhaseTimings};
+pub use timing::PhaseTimings;
 pub use witness::{Witness, WitnessStep};
 
 /// Version tag of the analysis *algorithm*, the third ingredient of

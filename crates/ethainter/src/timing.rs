@@ -1,8 +1,8 @@
 //! Per-phase wall-clock timing for the analysis pipeline.
 //!
-//! A zero-dependency, monotonic-clock ([`std::time::Instant`]) timing
-//! layer: each pipeline stage accumulates microseconds into one field
-//! of [`PhaseTimings`], which rides on
+//! Each pipeline stage runs under a telemetry span whose
+//! `finish_us` (monotonic clock) is stamped into one field of
+//! [`PhaseTimings`], which rides on
 //! [`Stats`](crate::report::Stats) and on the batch driver's
 //! `Status::Analyzed` JSONL records. Timings are *observability, not
 //! verdicts*: `crates/store` strips them from cache entries and
@@ -10,7 +10,6 @@
 //! machines and runs (see `store::checkpoint::VerdictRecord`).
 
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Microseconds spent in each pipeline phase for one contract.
 ///
@@ -131,30 +130,6 @@ impl PhaseTimings {
     }
 }
 
-/// A running phase stopwatch over the monotonic clock.
-///
-/// ```
-/// use ethainter::timing::{PhaseTimer, PhaseTimings};
-/// let mut t = PhaseTimings::default();
-/// let timer = PhaseTimer::start();
-/// // ... do the work ...
-/// t.fixpoint_us += timer.elapsed_us();
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseTimer(Instant);
-
-impl PhaseTimer {
-    /// Starts the stopwatch.
-    pub fn start() -> PhaseTimer {
-        PhaseTimer(Instant::now())
-    }
-
-    /// Microseconds since [`PhaseTimer::start`] (saturating).
-    pub fn elapsed_us(&self) -> u64 {
-        self.0.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,14 +154,6 @@ mod tests {
         t.cache_lookup_us += 100;
         t.stamp_total();
         assert_eq!(t.total_us, 128);
-    }
-
-    #[test]
-    fn timer_is_monotone() {
-        let timer = PhaseTimer::start();
-        let a = timer.elapsed_us();
-        let b = timer.elapsed_us();
-        assert!(b >= a);
     }
 
     #[test]

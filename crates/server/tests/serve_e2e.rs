@@ -358,6 +358,32 @@ fn deeply_nested_body_is_a_bad_request_not_a_crash() {
     assert!(handle.shutdown().drained_cleanly);
 }
 
+/// Bytecode strings that are not plain hex digits are answered 400 and
+/// the daemon keeps serving: a multi-byte character must not be sliced
+/// mid-character on the connection thread (a panic there drops the
+/// reply), and signed digits (`+1+2`) must not decode as `0x0102`.
+#[test]
+fn non_hex_bytecode_is_a_bad_request_not_a_crash() {
+    let _serial = lock_serial();
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+
+    for body in [r#"{"bytecode":"ab€c"}"#, r#"{"bytecode":"+1+2"}"#] {
+        let resp = client::request(&addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        let err: api::ErrorBody = serde_json::from_str(&resp.body).unwrap();
+        assert!(err.error.contains("hex"), "{body}: {}", err.error);
+        assert_eq!(client::request(&addr, "GET", "/healthz", None).unwrap().status, 200);
+    }
+
+    assert!(handle.shutdown().drained_cleanly);
+}
+
 /// The cache keeps verdicts only and its key ignores `witness`, so a
 /// repeated witness job is a hit whose witnesses the daemon recomputes:
 /// both submissions carry the same non-empty witness list.

@@ -65,8 +65,7 @@ pub use shared::{GetOrCompute, SharedCache};
 pub use checkpoint::{Checkpoint, Manifest, VerdictRecord};
 pub use scan::{ScanSummary, Scanner};
 pub use source::{
-    parse_hex, ChainedSource, ContractSource, CorpusSource, HexDirSource, JsonlManifestSource,
-    MemorySource, SourceContract,
+    parse_hex, ChainedSource, ContractSource, CorpusSource, MemorySource, SourceContract,
 };
 
 #[cfg(test)]

@@ -8,21 +8,15 @@
 //! - [`MemorySource`] — an in-memory list (CLI file arguments, tests);
 //! - [`CorpusSource`] — the generator, streamed via [`corpus::stream`]
 //!   (one contract resident at a time);
-//! - [`HexDirSource`] — a directory of `.hex`/`.bin` files, read lazily
-//!   in sorted order;
-//! - [`JsonlManifestSource`] — a JSONL manifest of
-//!   `{"id": …, "bytecode": "0x…"}` records, read line by line;
 //! - [`ChainedSource`] — concatenation of the above (files + corpus in
 //!   one scan).
 
 use corpus::PopulationConfig;
-use std::io::BufRead;
-use std::path::{Path, PathBuf};
 
 /// One contract pulled from a source.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceContract {
-    /// Stable identifier (file name, `family#id`, manifest id…).
+    /// Stable identifier (file name, `family#id`…).
     pub id: String,
     /// Runtime bytecode.
     pub bytecode: Vec<u8>,
@@ -131,129 +125,6 @@ impl ContractSource for CorpusSource {
 }
 
 // ---------------------------------------------------------------------------
-// Directory of hex files
-// ---------------------------------------------------------------------------
-
-/// A directory of `.hex`/`.bin` bytecode files, streamed in sorted
-/// (deterministic) file-name order; each file is read only when the
-/// iterator reaches it.
-pub struct HexDirSource {
-    dir: PathBuf,
-    files: std::vec::IntoIter<PathBuf>,
-    count: usize,
-}
-
-impl HexDirSource {
-    /// Lists `dir` (non-recursively) for `.hex`/`.bin` files.
-    pub fn new(dir: impl AsRef<Path>) -> Result<HexDirSource, String> {
-        let dir = dir.as_ref().to_path_buf();
-        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map_err(|e| format!("reading {}: {e}", dir.display()))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                matches!(
-                    p.extension().and_then(|e| e.to_str()),
-                    Some("hex") | Some("bin")
-                )
-            })
-            .collect();
-        files.sort();
-        let count = files.len();
-        Ok(HexDirSource { dir, files: files.into_iter(), count })
-    }
-}
-
-impl Iterator for HexDirSource {
-    type Item = Result<SourceContract, String>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let path = self.files.next()?;
-        let id = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        Some(
-            std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))
-                .and_then(|text| parse_hex(text.trim()))
-                .map(|bytecode| SourceContract { id, bytecode }),
-        )
-    }
-}
-
-impl ContractSource for HexDirSource {
-    fn descriptor(&self) -> String {
-        format!("hexdir:{}:{}", self.dir.display(), self.count)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSONL manifest
-// ---------------------------------------------------------------------------
-
-/// A JSONL manifest streamed line by line: each record is
-/// `{"id": "...", "bytecode": "0x..."}`. Blank lines are skipped; a
-/// malformed line yields one `Err` item and the stream continues.
-pub struct JsonlManifestSource {
-    path: PathBuf,
-    lines: std::io::Lines<std::io::BufReader<std::fs::File>>,
-    line_no: usize,
-}
-
-#[derive(serde::Deserialize)]
-struct ManifestRecord {
-    id: String,
-    bytecode: String,
-}
-
-impl JsonlManifestSource {
-    /// Opens the manifest for streaming.
-    pub fn new(path: impl AsRef<Path>) -> Result<JsonlManifestSource, String> {
-        let path = path.as_ref().to_path_buf();
-        let file = std::fs::File::open(&path)
-            .map_err(|e| format!("opening {}: {e}", path.display()))?;
-        Ok(JsonlManifestSource {
-            path,
-            lines: std::io::BufReader::new(file).lines(),
-            line_no: 0,
-        })
-    }
-}
-
-impl Iterator for JsonlManifestSource {
-    type Item = Result<SourceContract, String>;
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
-                Err(e) => {
-                    return Some(Err(format!("reading {}: {e}", self.path.display())))
-                }
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(
-                serde_json::from_str::<ManifestRecord>(&line)
-                    .map_err(|e| {
-                        format!("{} line {}: {e}", self.path.display(), self.line_no)
-                    })
-                    .and_then(|r| {
-                        parse_hex(&r.bytecode)
-                            .map(|bytecode| SourceContract { id: r.id, bytecode })
-                    }),
-            );
-        }
-    }
-}
-
-impl ContractSource for JsonlManifestSource {
-    fn descriptor(&self) -> String {
-        format!("jsonl:{}", self.path.display())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Concatenation
 // ---------------------------------------------------------------------------
 
@@ -290,32 +161,24 @@ impl ContractSource for ChainedSource {
     }
 }
 
-/// Decodes hex bytecode with an optional `0x` prefix.
+/// Decodes hex bytecode with an optional `0x` prefix. Every other
+/// character must be an ASCII hex digit: signs, whitespace and
+/// multi-byte characters are rejected, never sliced or skipped.
 pub fn parse_hex(text: &str) -> Result<Vec<u8>, String> {
-    let hexish = text.strip_prefix("0x").unwrap_or(text);
+    let hexish = text.strip_prefix("0x").unwrap_or(text).as_bytes();
+    if let Some(pos) = hexish.iter().position(|b| !b.is_ascii_hexdigit()) {
+        return Err(format!("bad hex bytecode: non-hex-digit byte at offset {pos}"));
+    }
     if !hexish.len().is_multiple_of(2) {
         return Err("odd-length hex bytecode".into());
     }
-    (0..hexish.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&hexish[i..i + 2], 16)
-                .map_err(|e| format!("bad hex bytecode: {e}"))
-        })
-        .collect()
+    let nibble = |b: u8| (b as char).to_digit(16).expect("checked hex digit") as u8;
+    Ok(hexish.chunks_exact(2).map(|pair| (nibble(pair[0]) << 4) | nibble(pair[1])).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("ethainter-source-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn memory_source_streams_and_fingerprints() {
@@ -339,41 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn hex_dir_source_reads_sorted() {
-        let dir = tmp_dir("hexdir");
-        std::fs::write(dir.join("b.hex"), "0x6001\n").unwrap();
-        std::fs::write(dir.join("a.bin"), "6000").unwrap();
-        std::fs::write(dir.join("ignored.txt"), "zz").unwrap();
-        let src = HexDirSource::new(&dir).unwrap();
-        assert!(src.descriptor().contains(":2"));
-        let items: Vec<_> = src.map(|r| r.unwrap()).collect();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].id, "a.bin");
-        assert_eq!(items[0].bytecode, vec![0x60, 0x00]);
-        assert_eq!(items[1].id, "b.hex");
-        assert_eq!(items[1].bytecode, vec![0x60, 0x01]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jsonl_manifest_streams_and_reports_bad_lines() {
-        let dir = tmp_dir("jsonl");
-        let path = dir.join("manifest.jsonl");
-        std::fs::write(
-            &path,
-            "{\"id\":\"one\",\"bytecode\":\"0x6000\"}\n\nnot json\n{\"id\":\"two\",\"bytecode\":\"6001\"}\n",
-        )
-        .unwrap();
-        let src = JsonlManifestSource::new(&path).unwrap();
-        let items: Vec<_> = src.collect();
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[0].as_ref().unwrap().id, "one");
-        assert!(items[1].is_err());
-        assert_eq!(items[2].as_ref().unwrap().bytecode, vec![0x60, 0x01]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn chained_source_concatenates_and_joins_descriptors() {
         let a = MemorySource::new(vec![("a".into(), vec![0])]);
         let b = MemorySource::new(vec![("b".into(), vec![1])]);
@@ -381,5 +209,30 @@ mod tests {
         assert!(chained.descriptor().contains('+'));
         let ids: Vec<String> = chained.map(|r| r.unwrap().id).collect();
         assert_eq!(ids, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn parse_hex_decodes_with_and_without_prefix() {
+        assert_eq!(parse_hex("0x6001fF"), Ok(vec![0x60, 0x01, 0xff]));
+        assert_eq!(parse_hex("6000"), Ok(vec![0x60, 0x00]));
+        assert_eq!(parse_hex(""), Ok(vec![]));
+        assert!(parse_hex("600").is_err(), "odd length");
+    }
+
+    #[test]
+    fn parse_hex_rejects_multibyte_characters_without_panicking() {
+        // `€` is three UTF-8 bytes; byte-offset slicing would split it.
+        let err = parse_hex("ab€c").unwrap_err();
+        assert!(err.contains("non-hex-digit"), "{err}");
+        assert!(parse_hex("0x€€").is_err());
+    }
+
+    #[test]
+    fn parse_hex_rejects_signs_and_whitespace() {
+        // A sign is not a hex digit, though `u8::from_str_radix` accepts one.
+        assert!(parse_hex("+1+2").is_err());
+        assert!(parse_hex("-1").is_err());
+        assert!(parse_hex(" 60 ").is_err());
+        assert!(parse_hex("0x0x60").is_err());
     }
 }

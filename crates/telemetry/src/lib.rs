@@ -16,8 +16,8 @@
 //!   trace and the timings can never disagree.
 //! - [`metrics`] — a global registry of named counters, gauges, and
 //!   log-bucketed histograms (power-of-two buckets, p50/p90/p99
-//!   estimates). All instruments are lock-free atomics, so rayon batch
-//!   workers aggregate into the same registry without coordination.
+//!   estimates). All instruments are lock-free atomics, so the batch
+//!   driver's workers aggregate into the same registry without coordination.
 //!   Snapshots export as JSON ([`metrics::Snapshot::to_json`]) and
 //!   Prometheus text exposition format
 //!   ([`metrics::Snapshot::to_prometheus`]).

@@ -2,7 +2,7 @@
 //!
 //! Instruments are registered by name on first use and live for the
 //! process lifetime; handles are cheap `Arc` clones over atomics, so
-//! every rayon worker updates the same instrument without locks on the
+//! every worker thread updates the same instrument without locks on the
 //! hot path (the registry mutex is only taken at registration/lookup —
 //! hoist handles out of loops). Names follow
 //! `ethainter_<subsystem>_<what>[_<unit>][_total]`.

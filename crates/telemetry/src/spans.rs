@@ -4,8 +4,8 @@
 //! finishing) the returned [`SpanGuard`] records a [`SpanRecord`] into
 //! a bounded global ring buffer. Nesting is tracked per thread: the
 //! guard stashes the previous "current span" id on construction and
-//! restores it on drop, so `parent` links form a forest even under
-//! rayon's work stealing (each worker thread keeps its own stack).
+//! restores it on drop, so `parent` links form a forest even across
+//! concurrent worker threads (each thread keeps its own stack).
 //!
 //! The collector is deliberately bounded ([`set_span_capacity`],
 //! default 4096 records): telemetry must never grow without limit
